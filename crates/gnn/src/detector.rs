@@ -5,11 +5,12 @@ use rand::SeedableRng;
 
 use xfraud_hetgraph::ALL_NODE_TYPES;
 use xfraud_nn::{Embedding, Ffn, Layer, Linear, ParamStore, Session};
-use xfraud_tensor::Var;
+use xfraud_tensor::{kernels, Var};
 
 use crate::batch::SubgraphBatch;
 use crate::hetconv::HetConvLayer;
-use crate::model::{Masks, Model};
+use crate::infer::{at_least, with_arena, SourcePairs};
+use crate::model::{predict_on_tape, Masks, Model};
 
 /// Hyper-parameters of the detector. The paper trains with
 /// `n_hid=400, n_heads=8, n_layers=6, dropout=0.2` (Appendix C); the default
@@ -169,6 +170,60 @@ impl Model for XFraudDetector {
         let x_t = sess.tape.gather_rows(x, tgt);
         let cat = sess.tape.concat_cols(&[h_t, x_t]);
         self.head.forward(sess, &self.store, cat, train, rng)
+    }
+
+    /// Tape-free scoring: the same arithmetic as `forward` in eval mode
+    /// (same kernels, same operation order, hence the same bits) over a
+    /// per-thread scratch arena, with weights read from the store in place
+    /// — a swapped or retrained store is picked up by the next call. The
+    /// per-type-projection ablation has no fast path and scores on the tape.
+    fn predict(&self, batch: &SubgraphBatch, rng: &mut StdRng) -> Vec<f32> {
+        if !self.convs.iter().all(HetConvLayer::can_infer) {
+            return predict_on_tape(self, batch, rng);
+        }
+        let (n, t) = (batch.n_nodes(), batch.targets.len());
+        let (f, d) = (self.cfg.feature_dim, self.cfg.hidden);
+        with_arena(|arena| {
+            let pairs = SourcePairs::of(batch, &mut arena.ids);
+            let x = at_least(&mut arena.x, n * f);
+            let mut h = at_least(&mut arena.h, n * d);
+            let mut h_next = at_least(&mut arena.h_next, n * d);
+
+            // eq. 2: X + τ(v)^emb.
+            let type_emb = self.store.value(self.type_emb.table);
+            for ((row, feat), ty) in x
+                .chunks_exact_mut(f)
+                .zip(batch.features.data().chunks_exact(f))
+                .zip(&batch.node_types)
+            {
+                for ((o, &a), &b) in row.iter_mut().zip(feat).zip(type_emb.row(ty.index())) {
+                    *o = a + b;
+                }
+            }
+
+            self.input_proj.apply_into(&self.store, x, h);
+            for conv in &self.convs {
+                conv.infer(&self.store, h, batch, &pairs, &mut arena.conv, h_next);
+                std::mem::swap(&mut h, &mut h_next);
+            }
+
+            // §3.2.1 step 3: tanh(GNN repr) ++ original features → FFN head.
+            let cat = at_least(&mut arena.cat, t * (d + f));
+            for (row, &tgt) in cat.chunks_exact_mut(d + f).zip(&batch.targets) {
+                let (h_t, x_t) = row.split_at_mut(d);
+                for (o, &a) in h_t.iter_mut().zip(&h[tgt * d..(tgt + 1) * d]) {
+                    *o = a.tanh();
+                }
+                x_t.copy_from_slice(&x[tgt * f..(tgt + 1) * f]);
+            }
+            let logits = at_least(&mut arena.logits, t * 2);
+            let probs = at_least(&mut arena.probs, t * 2);
+            let [tmp0, tmp1] = &mut arena.head_tmp;
+            let tmp = [at_least(tmp0, t * d), at_least(tmp1, t * d)];
+            self.head.apply_into(&self.store, cat, tmp, logits);
+            kernels::softmax_rows_into(logits, 2, probs);
+            probs.chunks_exact(2).map(|p| p[1]).collect()
+        })
     }
 
     fn store(&self) -> &ParamStore {

@@ -2,11 +2,12 @@ use std::rc::Rc;
 
 use rand::rngs::StdRng;
 
-use xfraud_hetgraph::{ALL_EDGE_TYPES, ALL_NODE_TYPES};
+use xfraud_hetgraph::{NodeType, ALL_EDGE_TYPES, ALL_NODE_TYPES};
 use xfraud_nn::{Embedding, Layer, Linear, ParamId, ParamStore, Session};
-use xfraud_tensor::{Tensor, Var};
+use xfraud_tensor::{kernels, Tensor, Var};
 
 use crate::batch::SubgraphBatch;
+use crate::infer::{at_least, SourcePairs};
 
 /// One self-attentive heterogeneous convolution layer (§3.2.2, eq. 1–10).
 ///
@@ -28,7 +29,8 @@ use crate::batch::SubgraphBatch;
 ///
 /// The per-head block arithmetic is expressed with two constant indicator
 /// matrices (`[d, h]` and `[h, d]`), keeping everything inside the autodiff
-/// tape without bespoke ops.
+/// tape without bespoke ops. The crate-private `infer` method is the same
+/// layer without a tape, for eval-mode scoring.
 #[derive(Debug, Clone)]
 pub struct HetConvLayer {
     /// Shared K/Q/V projections (the paper's choice), or one per node type
@@ -44,10 +46,29 @@ pub struct HetConvLayer {
     /// Edge-type embeddings `φ(e)^emb`, added to the source input on the
     /// first layer only (`None` on deeper layers).
     edge_emb: Option<Embedding>,
+    /// The `[d, h]` head-block indicator (column `i` is 1 on head `i`'s
+    /// coordinate block) and its `[h, d]` transpose.
+    head_ind: Tensor,
+    head_ind_t: Tensor,
     pub heads: usize,
     pub d_out: usize,
     pub dropout: f32,
     residual: bool,
+}
+
+/// Grow-only work areas of [`HetConvLayer::infer`], reused across layers
+/// and calls (see [`crate::infer::Arena`]).
+#[derive(Default)]
+pub(crate) struct ConvBufs {
+    src_in: Vec<f32>,
+    k: Vec<f32>,
+    v: Vec<f32>,
+    q: Vec<f32>,
+    agg: Vec<f32>,
+    scores: Vec<f32>,
+    alpha: Vec<f32>,
+    seg_max: Vec<f32>,
+    seg_sum: Vec<f32>,
 }
 
 /// One projection role (K, Q or V): shared across node types, or one
@@ -98,7 +119,7 @@ impl Projection {
         sess: &mut Session,
         store: &ParamStore,
         h: Var,
-        node_types: &[xfraud_hetgraph::NodeType],
+        node_types: &[NodeType],
     ) -> Var {
         match self {
             Projection::Shared(lin) => lin.forward(sess, store, h),
@@ -177,6 +198,10 @@ impl HetConvLayer {
         assert_eq!(d_out % heads, 0, "d_out must be divisible by heads");
         let n_nt = ALL_NODE_TYPES.len();
         let n_et = ALL_EDGE_TYPES.len();
+        let mut head_ind = Tensor::zeros(d_out, heads);
+        for j in 0..d_out {
+            head_ind.set(j, j / (d_out / heads), 1.0);
+        }
         HetConvLayer {
             k_lin: Projection::new(store, &format!("{name}.k"), d_in, d_out, per_type, rng),
             q_lin: Projection::new(store, &format!("{name}.q"), d_in, d_out, per_type, rng),
@@ -194,24 +219,13 @@ impl HetConvLayer {
             ),
             edge_emb: first_layer
                 .then(|| Embedding::zeros(store, &format!("{name}.edge_emb"), n_et, d_in)),
+            head_ind_t: head_ind.transpose(),
+            head_ind,
             heads,
             d_out,
             dropout,
             residual: d_in == d_out,
         }
-    }
-
-    /// The `[d, h]` head-block indicator: column `i` is 1 on head `i`'s
-    /// coordinate block.
-    fn head_indicator(&self) -> Tensor {
-        let d_k = self.d_out / self.heads;
-        let mut ind = Tensor::zeros(self.d_out, self.heads);
-        for i in 0..self.heads {
-            for j in 0..d_k {
-                ind.set(i * d_k + j, i, 1.0);
-            }
-        }
-        ind
     }
 
     /// Forward pass: `h` is `[n, d_in]`; returns `[n, d_out]`.
@@ -238,7 +252,7 @@ impl HetConvLayer {
             h_src = sess.tape.add(h_src, e_rows);
         }
 
-        let src_types: Vec<xfraud_hetgraph::NodeType> = batch
+        let src_types: Vec<NodeType> = batch
             .edge_src
             .iter()
             .map(|&s| batch.node_types[s])
@@ -249,11 +263,7 @@ impl HetConvLayer {
         let q = sess.tape.gather_rows(q_nodes, Rc::clone(&dst)); // [E, d]
 
         // Per-type attention vectors, one row per edge (eq. 8).
-        let src_ty: Vec<usize> = batch
-            .edge_src
-            .iter()
-            .map(|&s| batch.node_types[s].index())
-            .collect();
+        let src_ty: Vec<usize> = src_types.iter().map(|t| t.index()).collect();
         let dst_ty: Vec<usize> = batch
             .edge_dst
             .iter()
@@ -267,7 +277,7 @@ impl HetConvLayer {
         let sk = sess.tape.mul(k, att_src);
         let sq = sess.tape.mul(q, att_tgt);
         let s = sess.tape.add(sk, sq); // [E, d]
-        let ind = sess.constant(self.head_indicator()); // [d, h]
+        let ind = sess.constant(self.head_ind.clone()); // [d, h]
         let scores = sess.tape.matmul(s, ind); // [E, h]
         let d_k = (self.d_out / self.heads) as f32;
         let mut scores = sess.tape.scale(scores, 1.0 / d_k.sqrt());
@@ -293,7 +303,7 @@ impl HetConvLayer {
         };
 
         // Broadcast each head's α over its value block and weight V.
-        let ind_t = sess.constant(self.head_indicator().transpose()); // [h, d]
+        let ind_t = sess.constant(self.head_ind_t.clone()); // [h, d]
         let alpha_blocks = sess.tape.matmul(alpha, ind_t); // [E, d]
         let mut msg = sess.tape.mul(v, alpha_blocks);
 
@@ -311,13 +321,170 @@ impl HetConvLayer {
         }
         sess.tape.relu(out)
     }
+
+    /// The K/Q/V linears when they are shared across node types — what
+    /// [`HetConvLayer::infer`] covers; the per-type ablation stays on the
+    /// tape.
+    fn shared_projections(&self) -> Option<[&Linear; 3]> {
+        match (&self.k_lin, &self.q_lin, &self.v_lin) {
+            (Projection::Shared(k), Projection::Shared(q), Projection::Shared(v)) => {
+                Some([k, q, v])
+            }
+            _ => None,
+        }
+    }
+
+    /// `true` if [`HetConvLayer::infer`] covers this layer.
+    pub(crate) fn can_infer(&self) -> bool {
+        self.shared_projections().is_some()
+    }
+
+    /// Eval-mode forward without a tape: `h` is `[n, d_in]`, the result is
+    /// written to `out` (`[n, d_out]`). Bit-identical to
+    /// [`HetConvLayer::forward`] with `train = false` and no edge mask, for
+    /// finite weights and activations. Requires [`HetConvLayer::can_infer`].
+    ///
+    /// Where the tape gathers `h` to one row per edge and projects `E` rows,
+    /// this projects each *source row* once and lets the edges index the
+    /// result: row `r` of `X·W` depends on row `r` of `X` alone and sums `k`
+    /// in the same order wherever the row sits, so `gather(h)·W` and
+    /// `gather(h·W)` agree to the bit. A source row is a node on deeper
+    /// layers and a `(node, edge_type)` pair ([`SourcePairs`]) on the first.
+    /// The same holds for the per-type attention products, which become one
+    /// multiply per source/target row instead of per edge.
+    pub(crate) fn infer(
+        &self,
+        store: &ParamStore,
+        h: &[f32],
+        batch: &SubgraphBatch,
+        pairs: &SourcePairs<'_>,
+        bufs: &mut ConvBufs,
+        out: &mut [f32],
+    ) {
+        let Some([k_lin, q_lin, v_lin]) = self.shared_projections() else {
+            debug_assert!(false, "infer() on a per-type layer");
+            return;
+        };
+        let (n, e, d, heads) = (batch.n_nodes(), batch.n_edges(), self.d_out, self.heads);
+        let d_k = d / heads;
+        let d_in = store.value(k_lin.w).rows();
+        let type_of = |v: usize| batch.node_types[v].index();
+
+        // Source rows and the row each edge reads (eq. 4/6: φ(e) joins the
+        // source input on the first layer, before the projection).
+        let (src_in, edge_row, n_rows): (&[f32], &[usize], usize) = match &self.edge_emb {
+            Some(edge_emb) => {
+                let table = store.value(edge_emb.table);
+                let src_in = at_least(&mut bufs.src_in, pairs.len() * d_in);
+                for ((row, &s), &ty) in src_in
+                    .chunks_exact_mut(d_in)
+                    .zip(pairs.pair_src)
+                    .zip(pairs.pair_ety)
+                {
+                    let h_row = &h[s * d_in..(s + 1) * d_in];
+                    for ((o, &x), &emb) in row.iter_mut().zip(h_row).zip(table.row(ty)) {
+                        *o = x + emb;
+                    }
+                }
+                (src_in, pairs.edge_row, pairs.len())
+            }
+            None => (h, &batch.edge_src, n),
+        };
+        let row_type = |r: usize| match &self.edge_emb {
+            Some(_) => type_of(pairs.pair_src[r]),
+            None => type_of(r),
+        };
+
+        // K·w_att[τ(src)] and V per source row, Q·w_att[τ(tgt)] per node.
+        let k = at_least(&mut bufs.k, n_rows * d);
+        let v = at_least(&mut bufs.v, n_rows * d);
+        let q = at_least(&mut bufs.q, n * d);
+        k_lin.apply_into(store, src_in, k);
+        v_lin.apply_into(store, src_in, v);
+        q_lin.apply_into(store, h, q);
+        let (att_src, att_tgt) = (store.value(self.w_att_src), store.value(self.w_att_tgt));
+        for (r, row) in k.chunks_exact_mut(d).enumerate() {
+            for (x, &w) in row.iter_mut().zip(att_src.row(row_type(r))) {
+                *x *= w;
+            }
+        }
+        for (t, row) in q.chunks_exact_mut(d).enumerate() {
+            for (x, &w) in row.iter_mut().zip(att_tgt.row(type_of(t))) {
+                *x *= w;
+            }
+        }
+
+        // eq. 8: per-head score = in-order sum of the head's block of
+        // `K·w + Q·w`, scaled. This is what the `[d, h]` indicator matmul
+        // computes: the other heads' terms are exact zeros.
+        let scale = 1.0 / (d_k as f32).sqrt();
+        let scores = at_least(&mut bufs.scores, e * heads);
+        for ((score, &r), &t) in scores
+            .chunks_exact_mut(heads)
+            .zip(edge_row)
+            .zip(&batch.edge_dst)
+        {
+            let (k_row, q_row) = (&k[r * d..(r + 1) * d], &q[t * d..(t + 1) * d]);
+            for ((s, k_blk), q_blk) in score
+                .iter_mut()
+                .zip(k_row.chunks_exact(d_k))
+                .zip(q_row.chunks_exact(d_k))
+            {
+                let mut acc = 0.0f32;
+                for (&a, &b) in k_blk.iter().zip(q_blk) {
+                    acc += a + b;
+                }
+                *s = acc * scale;
+            }
+        }
+
+        // eq. 9: softmax over each target's in-neighbours, per head.
+        let alpha = at_least(&mut bufs.alpha, e * heads);
+        kernels::segment_softmax_into(
+            scores,
+            &batch.edge_dst,
+            heads,
+            at_least(&mut bufs.seg_max, n * heads),
+            at_least(&mut bufs.seg_sum, n * heads),
+            alpha,
+        );
+
+        // eq. 1: each head's α scales its block of V (what the `[h, d]`
+        // indicator matmul broadcasts), summed into the target in edge order.
+        let agg = at_least(&mut bufs.agg, n * d);
+        agg.fill(0.0);
+        for ((alpha, &r), &t) in alpha.chunks_exact(heads).zip(edge_row).zip(&batch.edge_dst) {
+            let (v_row, agg_row) = (&v[r * d..(r + 1) * d], &mut agg[t * d..(t + 1) * d]);
+            for ((&a, v_blk), agg_blk) in alpha
+                .iter()
+                .zip(v_row.chunks_exact(d_k))
+                .zip(agg_row.chunks_exact_mut(d_k))
+            {
+                for (o, &x) in agg_blk.iter_mut().zip(v_blk) {
+                    *o += x * a;
+                }
+            }
+        }
+
+        // Output projection + residual + ReLU.
+        self.a_lin.apply_into(store, agg, out);
+        if self.residual {
+            for (o, &x) in out.iter_mut().zip(h) {
+                *o = kernels::relu(*o + x);
+            }
+        } else {
+            for o in out.iter_mut() {
+                *o = kernels::relu(*o);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use xfraud_hetgraph::{GraphBuilder, NodeType};
+    use xfraud_hetgraph::GraphBuilder;
 
     fn toy_batch() -> SubgraphBatch {
         let mut b = GraphBuilder::new(4);
@@ -355,7 +522,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut store = ParamStore::new();
         let layer = HetConvLayer::new(&mut store, "c0", 4, 8, 4, 0.0, false, &mut rng);
-        let ind = layer.head_indicator();
+        let ind = &layer.head_ind;
+        assert_eq!(layer.head_ind_t, ind.transpose());
         // Every row has exactly one 1 (each dim belongs to one head).
         for r in 0..8 {
             let s: f32 = ind.row(r).iter().sum();
@@ -375,6 +543,42 @@ mod tests {
         let out = layer.forward(&mut sess, &store, h, &batch, Some(mask), false, &mut rng);
         // With all messages dead the aggregation is zero; output = relu(residual-free proj of 0) = 0.
         assert!(sess.tape.value(out).norm_sq() < 1e-10);
+    }
+
+    /// `infer` ≡ eval-mode `forward`, bit for bit — with and without the
+    /// edge-type embedding, with and without the residual.
+    #[test]
+    fn infer_matches_forward_bits() {
+        let batch = toy_batch();
+        for (d_out, first_layer) in [(8, true), (4, true), (8, false), (4, false)] {
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut store = ParamStore::new();
+            let layer =
+                HetConvLayer::new(&mut store, "c0", 4, d_out, 2, 0.2, first_layer, &mut rng);
+            if let Some(edge_emb) = &layer.edge_emb {
+                *store.value_mut(edge_emb.table) =
+                    Tensor::rand_uniform(ALL_EDGE_TYPES.len(), 4, -1.0, 1.0, &mut rng);
+            }
+            let mut sess = Session::new();
+            let h = sess.constant(batch.features.clone());
+            let want = layer.forward(&mut sess, &store, h, &batch, None, false, &mut rng);
+
+            let mut ids = Vec::new();
+            let pairs = SourcePairs::of(&batch, &mut ids);
+            let mut out = vec![f32::NAN; batch.n_nodes() * d_out];
+            let h = batch.features.data();
+            // Used twice: the second call reads buffers the first left dirty.
+            let mut bufs = ConvBufs::default();
+            for _ in 0..2 {
+                layer.infer(&store, h, &batch, &pairs, &mut bufs, &mut out);
+                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&out),
+                    bits(sess.tape.value(want).data()),
+                    "d_out {d_out}, first_layer {first_layer}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@ mod gat;
 mod gem;
 mod hetconv;
 mod incremental;
+mod infer;
 mod model;
 mod sampler;
 mod train;

@@ -38,11 +38,31 @@ pub trait Model {
         masks: &Masks,
     ) -> Var;
 
+    /// Fraud probabilities for the batch targets (softmax column 1), eval
+    /// mode. The default runs [`Model::forward`] on a fresh tape; a model
+    /// may override it with a cheaper evaluation of the same function.
+    fn predict(&self, batch: &SubgraphBatch, rng: &mut StdRng) -> Vec<f32> {
+        predict_on_tape(self, batch, rng)
+    }
+
     fn store(&self) -> &ParamStore;
 
     fn store_mut(&mut self) -> &mut ParamStore;
 
     fn name(&self) -> &'static str;
+}
+
+/// Eval-mode scores through the autodiff tape — the reference every
+/// [`Model::predict`] override must match to the bit.
+pub(crate) fn predict_on_tape<M: Model + ?Sized>(
+    model: &M,
+    batch: &SubgraphBatch,
+    rng: &mut StdRng,
+) -> Vec<f32> {
+    let mut sess = Session::new();
+    let logits = model.forward(&mut sess, batch, false, rng, &Masks::none());
+    let probs = softmax_rows(sess.tape.value(logits));
+    (0..probs.rows()).map(|r| probs.get(r, 1)).collect()
 }
 
 /// One optimisation step: forward → cross-entropy on the batch targets →
@@ -114,8 +134,5 @@ pub fn average_grads(
 
 /// Fraud probabilities for the batch targets (softmax column 1), eval mode.
 pub fn predict_scores<M: Model>(model: &M, batch: &SubgraphBatch, rng: &mut StdRng) -> Vec<f32> {
-    let mut sess = Session::new();
-    let logits = model.forward(&mut sess, batch, false, rng, &Masks::none());
-    let probs = softmax_rows(sess.tape.value(logits));
-    (0..probs.rows()).map(|r| probs.get(r, 1)).collect()
+    model.predict(batch, rng)
 }

@@ -1,6 +1,6 @@
 use rand::rngs::StdRng;
 
-use xfraud_tensor::{Tensor, Var};
+use xfraud_tensor::{kernels, Tensor, Var};
 
 use crate::param::{ParamId, ParamStore, Session};
 
@@ -33,6 +33,23 @@ impl Linear {
         let b = bias.then(|| store.register(format!("{name}.b"), Tensor::zeros(1, d_out)));
         Linear { w, b }
     }
+
+    /// Tape-free `out = x W (+ b)` over row-major slices (`x` is
+    /// `[rows, d_in]`, `out` is `[rows, d_out]`), reading the weights in
+    /// place. Same kernel and operation order as [`Layer::forward`], so the
+    /// result is the same bits.
+    pub fn apply_into(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
+        let w = store.value(self.w);
+        let (d_in, d_out) = w.shape();
+        kernels::matmul_into(x, w.data(), out, x.len() / d_in.max(1), d_in, d_out);
+        if let Some(b) = self.b {
+            for row in out.chunks_exact_mut(d_out.max(1)) {
+                for (o, &bias) in row.iter_mut().zip(store.value(b).data()) {
+                    *o += bias;
+                }
+            }
+        }
+    }
 }
 
 impl Layer for Linear {
@@ -64,6 +81,12 @@ impl LayerNorm {
             bias: store.register(format!("{name}.bias"), Tensor::zeros(1, dim)),
             eps: 1e-5,
         }
+    }
+
+    /// Tape-free counterpart of [`Layer::forward`]; same kernel, same bits.
+    pub fn apply_into(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
+        let (gain, bias) = (store.value(self.gain), store.value(self.bias));
+        kernels::layer_norm_into(x, gain.data(), bias.data(), self.eps, out);
     }
 }
 
@@ -169,6 +192,23 @@ impl Ffn {
             x = sess.tape.relu(x);
         }
         self.out.forward(sess, store, x)
+    }
+
+    /// Tape-free eval-mode forward: `x` is `[rows, d_in]`, `out` is
+    /// `[rows, d_out]`, `tmp` two caller-owned `[rows, d_hidden]` work
+    /// areas. Bit-identical to [`Ffn::forward`] with `train = false`.
+    pub fn apply_into(&self, store: &ParamStore, x: &[f32], tmp: [&mut [f32]; 2], out: &mut [f32]) {
+        let [act, lin_out] = tmp;
+        let mut cur = x;
+        for (lin, ln) in &self.hidden {
+            lin.apply_into(store, cur, lin_out);
+            ln.apply_into(store, lin_out, act);
+            for v in act.iter_mut() {
+                *v = kernels::relu(*v);
+            }
+            cur = act;
+        }
+        self.out.apply_into(store, cur, out);
     }
 }
 

@@ -893,6 +893,55 @@ mod tests {
         assert!(eng.swap_detector(wrong).is_err());
     }
 
+    /// A hot-swap must reach the tape-free scoring path: the engine's next
+    /// scores are the *new* detector's tape scores, bit for bit — computed
+    /// on a scorer thread whose scratch arena the old detector sized.
+    #[test]
+    fn swapped_detector_serves_its_own_tape_scores() {
+        use xfraud_gnn::{train_step, Masks, Model};
+        use xfraud_nn::{AdamW, Session};
+
+        let (detector, g, txns) = setup();
+        let eng = engine(&detector, &g).no_cache().build().unwrap();
+        eng.score(&txns).unwrap();
+
+        let mut retrained = XFraudDetector::new(DetectorConfig {
+            hidden: 24,
+            heads: 3,
+            layers: 2,
+            seed: 4,
+            ..detector.cfg.clone()
+        });
+        let mut rng = rand::SeedableRng::seed_from_u64(1);
+        let train_batch = SageSampler::new(2, 6).sample(&g, &txns, &mut rng);
+        let mut opt = AdamW::new(1e-2);
+        for _ in 0..3 {
+            train_step(&mut retrained, &train_batch, &mut opt, &mut rng);
+        }
+        let sampler = CommunitySampler::new(400);
+        let tape: Vec<u32> = txns
+            .iter()
+            .map(|&t| {
+                let mut rng = serve_rng(9, 0, t);
+                let batch = sampler.sample(&g, &[t], &mut rng);
+                let mut sess = Session::new();
+                let logits = retrained.forward(&mut sess, &batch, false, &mut rng, &Masks::none());
+                xfraud_tensor::softmax_rows(sess.tape.value(logits))
+                    .get(0, 1)
+                    .to_bits()
+            })
+            .collect();
+
+        eng.swap_detector(retrained).unwrap();
+        let served: Vec<u32> = eng
+            .score(&txns)
+            .unwrap()
+            .iter()
+            .map(|s| s.to_bits())
+            .collect();
+        assert_eq!(served, tape);
+    }
+
     #[test]
     fn invalidation_hooks_force_recomputation() {
         let (detector, g, txns) = setup();

@@ -33,6 +33,7 @@
 //! ```
 
 mod error;
+pub mod kernels;
 mod ops;
 mod tape;
 mod tensor;

@@ -6,6 +6,7 @@
 
 use std::rc::Rc;
 
+use crate::kernels;
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
@@ -53,51 +54,25 @@ pub(crate) fn ew_binary(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> 
 
 pub(crate) fn segment_softmax_forward(a: &Tensor, seg: &[usize], n_segments: usize) -> Tensor {
     let cols = a.cols();
-    // Pass 1: per-(segment, column) max for numerical stability.
-    let mut seg_max = Tensor::full(n_segments, cols, f32::NEG_INFINITY);
-    for (r, &s) in seg.iter().enumerate() {
-        for (m, &x) in seg_max.row_mut(s).iter_mut().zip(a.row(r)) {
-            if x > *m {
-                *m = x;
-            }
-        }
-    }
-    // Pass 2: exponentials and per-segment sums.
     let mut out = Tensor::zeros(a.rows(), cols);
-    let mut seg_sum = Tensor::zeros(n_segments, cols);
-    for (r, &s) in seg.iter().enumerate() {
-        let maxes = seg_max.row(s).to_vec();
-        for ((o, &x), m) in out.row_mut(r).iter_mut().zip(a.row(r)).zip(maxes.iter()) {
-            *o = (x - m).exp();
-        }
-        for (acc, &e) in seg_sum.row_mut(s).iter_mut().zip(out.row(r)) {
-            *acc += e;
-        }
-    }
-    // Pass 3: normalise.
-    for (r, &s) in seg.iter().enumerate() {
-        let sums = seg_sum.row(s).to_vec();
-        for (o, sum) in out.row_mut(r).iter_mut().zip(sums.iter()) {
-            *o /= sum.max(f32::MIN_POSITIVE);
-        }
-    }
+    let mut seg_max = vec![0.0; n_segments * cols];
+    let mut seg_sum = vec![0.0; n_segments * cols];
+    kernels::segment_softmax_into(
+        a.data(),
+        seg,
+        cols,
+        &mut seg_max,
+        &mut seg_sum,
+        out.data_mut(),
+    );
     out
 }
 
 pub(crate) fn layer_norm_forward(x: &Tensor, gain: &Tensor, bias: &Tensor, eps: f32) -> Tensor {
     debug_assert_eq!(gain.shape(), (1, x.cols()));
     debug_assert_eq!(bias.shape(), (1, x.cols()));
-    let d = x.cols() as f32;
     let mut out = Tensor::zeros(x.rows(), x.cols());
-    for r in 0..x.rows() {
-        let row = x.row(r);
-        let mu = row.iter().sum::<f32>() / d;
-        let var = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / d;
-        let inv_std = 1.0 / (var + eps).sqrt();
-        for (c, (o, &v)) in out.row_mut(r).iter_mut().zip(row).enumerate() {
-            *o = gain.get(0, c) * (v - mu) * inv_std + bias.get(0, c);
-        }
-    }
+    kernels::layer_norm_into(x.data(), gain.data(), bias.data(), eps, out.data_mut());
     out
 }
 
@@ -121,18 +96,7 @@ pub(crate) fn cross_entropy_forward(logits: &Tensor, labels: &[usize]) -> f32 {
 /// pass here and prediction code elsewhere).
 pub fn softmax_rows(logits: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(logits.rows(), logits.cols());
-    for r in 0..logits.rows() {
-        let row = logits.row(r);
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for (o, &v) in out.row_mut(r).iter_mut().zip(row) {
-            *o = (v - max).exp();
-            sum += *o;
-        }
-        for o in out.row_mut(r) {
-            *o /= sum;
-        }
-    }
+    kernels::softmax_rows_into(logits.data(), logits.cols(), out.data_mut());
     out
 }
 

@@ -3,8 +3,9 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::kernels;
 use crate::ops::{self, Op};
-use crate::tensor::{matmul_into, Tensor};
+use crate::tensor::Tensor;
 
 /// Handle to a node on a [`Tape`].
 ///
@@ -77,8 +78,7 @@ impl Tape {
         let va = &self.nodes[a.0].value;
         let vb = &self.nodes[b.0].value;
         debug_assert_eq!(va.cols(), vb.rows(), "matmul shape mismatch");
-        let mut out = Tensor::zeros(va.rows(), vb.cols());
-        matmul_into(va, vb, &mut out);
+        let out = va.matmul_unchecked(vb);
         self.push(out, Op::MatMul(a, b))
     }
 
@@ -148,7 +148,7 @@ impl Tape {
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let out = self.nodes[a.0].value.map(|x| x.max(0.0));
+        let out = self.nodes[a.0].value.map(kernels::relu);
         self.push(out, Op::Relu(a))
     }
 
@@ -246,12 +246,7 @@ impl Tape {
         let va = &self.nodes[a.0].value;
         debug_assert_eq!(va.rows(), seg.len());
         let mut out = Tensor::zeros(n_segments, va.cols());
-        for (r, &s) in seg.iter().enumerate() {
-            debug_assert!(s < n_segments, "segment id out of bounds");
-            for (o, &x) in out.row_mut(s).iter_mut().zip(va.row(r)) {
-                *o += x;
-            }
-        }
+        kernels::segment_sum_into(va.data(), &seg, va.cols(), out.data_mut());
         self.push(out, Op::SegmentSum(a, seg))
     }
 

@@ -1,6 +1,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::kernels;
 use crate::{Result, TensorError};
 
 /// A dense row-major matrix of `f32`.
@@ -154,12 +155,8 @@ impl Tensor {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self @ rhs`, validated.
-    ///
-    /// Uses an `i-k-j` loop order so the inner loop streams over contiguous
-    /// rows of both the output and `rhs` (cache friendly; see the Rust
-    /// Performance Book's advice on iteration order). At reproduction scale
-    /// (hidden dims of a few hundred) this is within a small factor of BLAS.
+    /// Matrix product `self @ rhs`, validated (see
+    /// [`kernels::matmul_into`] for the loop structure).
     pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor> {
         if self.cols != rhs.rows {
             return Err(TensorError::ShapeMismatch {
@@ -168,9 +165,22 @@ impl Tensor {
                 rhs: rhs.shape(),
             });
         }
+        Ok(self.matmul_unchecked(rhs))
+    }
+
+    /// `self @ rhs` for shapes the caller has already checked.
+    pub(crate) fn matmul_unchecked(&self, rhs: &Tensor) -> Tensor {
+        debug_assert_eq!(self.cols, rhs.rows);
         let mut out = Tensor::zeros(self.rows, rhs.cols);
-        matmul_into(self, rhs, &mut out);
-        Ok(out)
+        kernels::matmul_into(
+            &self.data,
+            &rhs.data,
+            &mut out.data,
+            self.rows,
+            self.cols,
+            rhs.cols,
+        );
+        out
     }
 
     /// `self^T @ rhs` without materialising the transpose.
@@ -209,19 +219,10 @@ impl Tensor {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Tensor::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..rhs.rows {
-                let b_row = rhs.row(j);
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                out.set(i, j, acc);
-            }
-        }
-        Ok(out)
+        // `out[i][j] = Σ_k self[i][k] · rhs[j][k]`, `k` in order — exactly the
+        // sum `matmul` forms against the transpose, so take its blocked kernel
+        // (many `j` in flight per pass) for the price of one weight-sized copy.
+        Ok(self.matmul_unchecked(&rhs.transpose()))
     }
 
     /// The materialised transpose.
@@ -300,27 +301,6 @@ impl Tensor {
             .zip(&rhs.data)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f32::max)
-    }
-}
-
-/// `out += a @ b` workhorse shared by forward and backward passes.
-pub(crate) fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    debug_assert_eq!(a.cols, b.rows);
-    debug_assert_eq!(out.rows, a.rows);
-    debug_assert_eq!(out.cols, b.cols);
-    let n = b.cols;
-    for i in 0..a.rows {
-        let a_row = a.row(i);
-        let out_row = &mut out.data[i * n..(i + 1) * n];
-        for (k, &aik) in a_row.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
-            let b_row = &b.data[k * n..(k + 1) * n];
-            for (o, &bkj) in out_row.iter_mut().zip(b_row) {
-                *o += aik * bkj;
-            }
-        }
     }
 }
 
