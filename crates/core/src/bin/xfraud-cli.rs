@@ -1,45 +1,20 @@
 //! `xfraud-cli` — run the pipeline from the command line.
 //!
 //! ```text
-//! xfraud-cli train       [--preset small|large|xlarge] [--epochs N] [--seed S] [--workers W]
-//! xfraud-cli explain     [--preset ...] [--epochs N] [--seed S] [--top K] [--workers W]
-//! xfraud-cli stats       [--preset ...]
-//! xfraud-cli serve-bench [--preset ...] [--epochs N] [--seed S] [--callers C]
-//!                        [--requests R] [--batch B] [--no-cache]
-//! xfraud-cli load-bench  [--preset ...] [--epochs N] [--seed S] [--rate R]
-//!                        [--duration-secs D] [--pattern constant|diurnal|bursts]
-//!                        [--connections C] [--batch B] [--smoke]
-//! xfraud-cli datagen     --out-dir DIR [--nodes N] [--seed S] [--dim D]
-//! xfraud-cli diskstore-bench [--out-dir DIR] [--nodes N] [--dim D] [--workers W]
+//! xfraud-cli train   [--preset small|large|xlarge] [--epochs N] [--seed S] [--workers W]
+//! xfraud-cli explain [--preset ...] [--epochs N] [--seed S] [--top K] [--workers W]
+//! xfraud-cli stats   [--preset ...]
+//! xfraud-cli datagen --out-dir DIR [--nodes N] [--seed S] [--dim D]
 //! ```
 //!
 //! `train` reports held-out metrics; `explain` additionally explains the
 //! highest-scoring held-out fraud; `stats` prints dataset statistics;
-//! `serve-bench` trains a pipeline, freezes it behind a
-//! [`xfraud::serve::ScoringEngine`] and hammers it from `--callers`
-//! concurrent threads, reporting throughput against the sequential
-//! no-engine baseline plus the engine's own metrics snapshot;
-//! `stream-bench` streams a fresh transaction log into the live engine —
-//! every arrival is WAL-appended, applied as graph events and scored the
-//! moment it lands — reporting WAL/ingest throughput (events/s) and
-//! score-on-arrival p50/p99 latency, then verifies compaction leaves
-//! scores bit-identical;
-//! `load-bench` boots the network-facing scoring service
-//! ([`xfraud::netserve::NetServer`]) on loopback and drives it with
-//! **open-loop** arrivals: it calibrates closed-loop capacity, then offers
-//! 0.5×, 1× and 2× that rate (latency measured from the *scheduled*
-//! arrival), reporting goodput vs offered load, shed rate and p50/p99/p999
-//! per step. `--smoke` instead runs one short constant-rate pass with
-//! hard assertions (zero 5xx, zero transport errors, nonzero goodput,
-//! wire scores bit-identical to the engine) and exits non-zero on any
-//! violation — the CI gate.
-//!
 //! `datagen` streams a scaled eBay-large world straight to disk in bounded
 //! memory — events log, graph topology and a disk-backed feature store —
-//! sized so the surviving graph lands near `--nodes`; `diskstore-bench`
-//! measures the out-of-core read path (sequential scan, random gets,
-//! parallel feature loaders) against the in-RAM sharded store, reporting
-//! resident-set size so the bounded-memory claim is checkable.
+//! sized so the surviving graph lands near `--nodes`.
+//!
+//! Throughput and latency are measured by the repo's benchmark,
+//! `perf/run.sh`, not by this binary.
 //!
 //! Pipeline failures (bad flags, out-of-range config, unknown ids) print a
 //! one-line diagnostic and exit non-zero — no panics, no backtraces.
@@ -49,7 +24,6 @@ use std::time::Instant;
 use xfraud::datagen::{Dataset, DatasetPreset};
 use xfraud::explain::{ExplainerConfig, GnnExplainer};
 use xfraud::gnn::TrainConfig;
-use xfraud::hetgraph::NodeId;
 use xfraud::{Pipeline, PipelineConfig};
 
 struct Args {
@@ -60,33 +34,11 @@ struct Args {
     top: usize,
     /// Batch-engine sampling threads; results are identical for any value.
     workers: usize,
-    /// serve-bench: concurrent caller threads.
-    callers: usize,
-    /// serve-bench: `score` calls issued per caller.
-    requests: usize,
-    /// serve-bench: transaction ids per `score` call.
-    batch: usize,
-    /// serve-bench: disable both cache tiers (the cold baseline).
-    no_cache: bool,
-    /// stream-bench: transactions streamed into the live graph.
-    stream_txns: usize,
-    /// stream-bench: WAL shard count.
-    wal_shards: usize,
-    /// load-bench: offered rate at 1× (req/s); 0 = calibrate closed-loop.
-    rate: f64,
-    /// load-bench: seconds per load step.
-    duration_secs: u64,
-    /// load-bench: offered-rate curve shape.
-    pattern: String,
-    /// load-bench: sender connections.
-    connections: usize,
-    /// load-bench: single short pass with hard pass/fail assertions.
-    smoke: bool,
-    /// datagen / diskstore-bench: dataset directory ("" = temp).
+    /// datagen: dataset directory.
     out_dir: String,
-    /// datagen: target graph size; diskstore-bench: feature rows.
+    /// datagen: target graph size (0 = 100 000).
     nodes: usize,
-    /// datagen / diskstore-bench: feature width (0 = preset default).
+    /// datagen: feature width (0 = preset default).
     dim: usize,
 }
 
@@ -100,30 +52,11 @@ fn parse_args() -> Result<Args, String> {
         seed: 7,
         top: 5,
         workers: xfraud::gnn::default_num_workers(),
-        callers: 8,
-        requests: 40,
-        batch: 8,
-        no_cache: false,
-        stream_txns: 300,
-        wal_shards: 4,
-        rate: 0.0,
-        duration_secs: 5,
-        pattern: "bursts".to_string(),
-        connections: 16,
-        smoke: false,
         out_dir: String::new(),
         nodes: 0,
         dim: 0,
     };
     while let Some(flag) = args.next() {
-        if flag == "--no-cache" {
-            parsed.no_cache = true;
-            continue;
-        }
-        if flag == "--smoke" {
-            parsed.smoke = true;
-            continue;
-        }
         let mut value = || args.next().ok_or(format!("missing value for {flag}"));
         match flag.as_str() {
             "--preset" => {
@@ -138,17 +71,6 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => parsed.seed = value()?.parse().map_err(|e| format!("{e}"))?,
             "--top" => parsed.top = value()?.parse().map_err(|e| format!("{e}"))?,
             "--workers" => parsed.workers = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--callers" => parsed.callers = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--requests" => parsed.requests = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--batch" => parsed.batch = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--stream-txns" => parsed.stream_txns = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--wal-shards" => parsed.wal_shards = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--rate" => parsed.rate = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--duration-secs" => {
-                parsed.duration_secs = value()?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--pattern" => parsed.pattern = value()?,
-            "--connections" => parsed.connections = value()?.parse().map_err(|e| format!("{e}"))?,
             "--out-dir" => parsed.out_dir = value()?,
             "--nodes" => parsed.nodes = value()?.parse().map_err(|e| format!("{e}"))?,
             "--dim" => parsed.dim = value()?.parse().map_err(|e| format!("{e}"))?,
@@ -159,13 +81,8 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: xfraud-cli <train|explain|stats|serve-bench|stream-bench|load-bench\
-     |datagen|diskstore-bench> \
+    "usage: xfraud-cli <train|explain|stats|datagen> \
      [--preset small|large|xlarge] [--epochs N] [--seed S] [--top K] [--workers W] \
-     [--callers C] [--requests R] [--batch B] [--no-cache] \
-     [--stream-txns T] [--wal-shards K] \
-     [--rate R] [--duration-secs D] [--pattern constant|diurnal|bursts] \
-     [--connections C] [--smoke] \
      [--out-dir DIR] [--nodes N] [--dim D]"
         .to_string()
 }
@@ -182,387 +99,6 @@ fn train_pipeline(args: &Args) -> Result<Pipeline, xfraud::Error> {
         })
         .build()?;
     Pipeline::run(cfg)
-}
-
-/// The request stream of one bench caller: `requests` calls of `batch` ids
-/// cycling through the held-out transactions, offset per caller so the
-/// streams overlap without being identical (realistic duplicate pressure).
-fn caller_requests(
-    pool: &[NodeId],
-    caller: usize,
-    requests: usize,
-    batch: usize,
-) -> Vec<Vec<NodeId>> {
-    (0..requests)
-        .map(|r| {
-            (0..batch)
-                .map(|i| pool[(caller * 3 + r * batch + i) % pool.len()])
-                .collect()
-        })
-        .collect()
-}
-
-fn serve_bench(args: &Args) -> Result<(), xfraud::Error> {
-    let pipeline = train_pipeline(args)?;
-    let pool: Vec<NodeId> = pipeline.test_nodes.clone();
-    let total_txns = args.callers * args.requests * args.batch;
-    println!(
-        "serve-bench: {} callers × {} requests × {} ids  ({} scorings over {} distinct txns, cache {})",
-        args.callers,
-        args.requests,
-        args.batch,
-        total_txns,
-        pool.len().min(total_txns),
-        if args.no_cache { "off" } else { "on" }
-    );
-
-    // Sequential baseline: the exact contract the engine must reproduce,
-    // one transaction at a time, no engine, no cache.
-    let seq_n = pool.len().clamp(1, 256);
-    let started = Instant::now();
-    let mut baseline = Vec::with_capacity(seq_n);
-    for &t in pool.iter().take(seq_n) {
-        baseline.push(pipeline.score_transaction(t)?);
-    }
-    let seq_rate = seq_n as f64 / started.elapsed().as_secs_f64();
-    println!("sequential score_transaction: {seq_rate:.1} txn/s ({seq_n} scored)");
-
-    let mut builder = pipeline.serving_engine().max_batch(args.callers.max(2) * 2);
-    if args.no_cache {
-        builder = builder.no_cache();
-    }
-    let engine = builder.build()?;
-
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for c in 0..args.callers {
-            let engine = &engine;
-            let pool = &pool;
-            handles.push(
-                scope.spawn(move || -> Result<(), xfraud::serve::ServeError> {
-                    for ids in caller_requests(pool, c, args.requests, args.batch) {
-                        engine.score(&ids)?;
-                    }
-                    Ok(())
-                }),
-            );
-        }
-        for h in handles {
-            h.join().expect("bench caller thread")?;
-        }
-        Ok::<(), xfraud::serve::ServeError>(())
-    })
-    .map_err(xfraud::Error::from)?;
-    let engine_rate = total_txns as f64 / started.elapsed().as_secs_f64();
-
-    // Spot-check the determinism contract on a handful of ids.
-    for &t in pool.iter().take(8) {
-        let served = engine.score(&[t])?[0];
-        let sequential = pipeline.score_transaction(t)?;
-        assert_eq!(served, sequential, "engine must match score_transaction");
-    }
-
-    println!(
-        "engine: {engine_rate:.1} txn/s  ({:.2}× sequential)",
-        engine_rate / seq_rate
-    );
-    println!("{}", engine.metrics());
-    Ok(())
-}
-
-/// Network-service failures rendered into the CLI's error type.
-fn net_err(e: impl std::fmt::Display) -> xfraud::Error {
-    xfraud::Error::Serve(xfraud::serve::ServeError::InvalidConfig(format!("{e}")))
-}
-
-/// Closed-loop capacity probe: `connections` clients hammer the server
-/// back-to-back for ~1.2 s; the aggregate 2xx rate is the saturation
-/// throughput the open-loop multipliers are anchored to.
-fn calibrate_capacity(
-    addr: std::net::SocketAddr,
-    pool: &[NodeId],
-    connections: usize,
-    batch: usize,
-) -> Result<f64, xfraud::Error> {
-    use xfraud::netserve::{ScoreClient, ScoreOutcome};
-    let window = std::time::Duration::from_millis(1200);
-    let timeout = std::time::Duration::from_secs(10);
-    let started = Instant::now();
-    let counts: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..connections)
-            .map(|c| {
-                scope.spawn(move || {
-                    let Ok(mut client) = ScoreClient::connect(addr, timeout) else {
-                        return 0u64;
-                    };
-                    let mut ok = 0u64;
-                    let mut i = c;
-                    while started.elapsed() < window {
-                        let ids: Vec<NodeId> =
-                            (0..batch).map(|k| pool[(i + k) % pool.len()]).collect();
-                        i = i.wrapping_add(batch);
-                        if matches!(client.score("calibrate", &ids), Ok(ScoreOutcome::Scores(_))) {
-                            ok += 1;
-                        }
-                    }
-                    ok
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
-    });
-    let total: u64 = counts.iter().sum();
-    let rate = total as f64 / started.elapsed().as_secs_f64();
-    if total == 0 {
-        return Err(net_err(
-            "capacity calibration produced no successful responses",
-        ));
-    }
-    Ok(rate)
-}
-
-fn load_bench(args: &Args) -> Result<(), xfraud::Error> {
-    use std::time::Duration;
-    use xfraud::netserve::{
-        run_load, LoadConfig, NetServer, RatePattern, ScoreClient, ScoreOutcome, ServerConfig,
-    };
-
-    let pattern = match args.pattern.as_str() {
-        "constant" => RatePattern::Constant,
-        "diurnal" => RatePattern::Diurnal { trough_frac: 0.2 },
-        "bursts" => RatePattern::Bursts {
-            period: Duration::from_secs(1),
-            burst_frac: 0.2,
-            amplitude: 4.0,
-        },
-        other => return Err(net_err(format!("unknown pattern `{other}`"))),
-    };
-
-    let pipeline = train_pipeline(args)?;
-    let pool: Vec<NodeId> = pipeline.test_nodes.clone();
-    let mut builder = pipeline
-        .serving_engine()
-        .max_batch(args.connections.max(2) * 2);
-    if args.no_cache {
-        builder = builder.no_cache();
-    }
-    let engine = std::sync::Arc::new(builder.build()?);
-    // The in-flight cap sits below the sender concurrency so 2× overload
-    // actually exercises 503 shedding instead of queueing without bound;
-    // one scorer per permit so admitted requests never wait for a thread.
-    let max_inflight = (args.connections / 2).max(4);
-    let server_cfg = ServerConfig {
-        max_inflight,
-        score_threads: max_inflight,
-        ..ServerConfig::default()
-    };
-    let server = NetServer::start(std::sync::Arc::clone(&engine), server_cfg).map_err(net_err)?;
-    let addr = server.local_addr();
-    println!(
-        "load-bench: scoring service on {addr} ({} held-out txns, pattern {}, {} connections, \
-         in-flight cap {max_inflight}, cache {})",
-        pool.len(),
-        args.pattern,
-        args.connections,
-        if args.no_cache { "off" } else { "on" }
-    );
-
-    let base = LoadConfig {
-        duration: Duration::from_secs(args.duration_secs.max(1)),
-        ids: pool.clone(),
-        ids_per_request: args.batch,
-        connections: args.connections,
-        seed: args.seed,
-        ..LoadConfig::default()
-    };
-
-    if args.smoke {
-        // One short constant-rate pass, well under capacity, with hard
-        // pass/fail assertions — the CI gate.
-        let cfg = LoadConfig {
-            rate_per_sec: if args.rate > 0.0 { args.rate } else { 30.0 },
-            pattern: RatePattern::Constant,
-            ..base
-        };
-        let report = run_load(addr, &cfg).map_err(net_err)?;
-        println!("{report}");
-        let m = server.metrics();
-        println!("server: {m}");
-
-        // Equivalence spot-check: wire scores must be engine bits.
-        let probe: Vec<NodeId> = pool.iter().copied().take(8).collect();
-        let direct = engine.score(&probe)?;
-        let mut client = ScoreClient::connect(addr, Duration::from_secs(10)).map_err(net_err)?;
-        let wire = match client.score("smoke", &probe).map_err(net_err)? {
-            ScoreOutcome::Scores(s) => s,
-            ScoreOutcome::Rejected { status, error } => {
-                return Err(net_err(format!("smoke probe rejected: {status} {error}")))
-            }
-        };
-        let mut failures = Vec::new();
-        if wire
-            .iter()
-            .map(|s| s.to_bits())
-            .ne(direct.iter().map(|s| s.to_bits()))
-        {
-            failures.push("wire scores are not bit-identical to the engine".to_string());
-        }
-        if report.completed_2xx == 0 || report.goodput() <= 0.0 {
-            failures.push("zero goodput".to_string());
-        }
-        if report.responses_5xx > 0 || m.responses_5xx > 0 {
-            failures.push(format!(
-                "5xx responses observed (client {}, server {})",
-                report.responses_5xx, m.responses_5xx
-            ));
-        }
-        if report.transport_errors > 0 {
-            failures.push(format!("{} transport errors", report.transport_errors));
-        }
-        server.shutdown();
-        if failures.is_empty() {
-            println!("smoke: PASS");
-            return Ok(());
-        }
-        for f in &failures {
-            eprintln!("smoke: FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-
-    // Warm both cache tiers (and the allocator) before measuring: the
-    // first touch of each community pays sampling + a forward pass, and a
-    // 1-second calibration window must not be dominated by that cold work.
-    for chunk in pool.chunks(128) {
-        engine.score(chunk)?;
-    }
-
-    let capacity = if args.rate > 0.0 {
-        println!("capacity: {:.1} req/s (from --rate)", args.rate);
-        args.rate
-    } else {
-        // Probe with exactly the in-flight budget: more senders would
-        // spend the window shedding 503s instead of measuring saturation.
-        let c = calibrate_capacity(addr, &pool, max_inflight, args.batch)?;
-        println!("capacity: {c:.1} req/s (closed-loop, {max_inflight} connections)");
-        c
-    };
-
-    println!("| load | offered/s | goodput/s | shed % | p50 ms | p99 ms | p999 ms | 5xx |");
-    println!("|------|-----------|-----------|--------|--------|--------|---------|-----|");
-    let mut any_5xx = 0u64;
-    for mult in [0.5, 1.0, 2.0] {
-        // Anchor to the pattern's *mean* so "1×" offers capacity on
-        // average (bursts spike above it, by design).
-        let cfg = LoadConfig {
-            rate_per_sec: capacity * mult / pattern.mean(),
-            pattern: pattern.clone(),
-            ..base.clone()
-        };
-        let report = run_load(addr, &cfg).map_err(net_err)?;
-        any_5xx += report.responses_5xx;
-        println!(
-            "| {mult:.1}× | {:9.1} | {:9.1} | {:6.1} | {:6.2} | {:6.2} | {:7.2} | {:3} |",
-            report.offered_rate(),
-            report.goodput(),
-            100.0 * report.shed_rate(),
-            report.p50_ms,
-            report.p99_ms,
-            report.p999_ms,
-            report.responses_5xx,
-        );
-    }
-    let m = server.metrics();
-    println!("server: {m}");
-    println!("engine: {}", engine.metrics());
-    server.shutdown();
-    if any_5xx > 0 || m.responses_5xx > 0 {
-        return Err(net_err(format!(
-            "5xx responses under load (client {any_5xx}, server {})",
-            m.responses_5xx
-        )));
-    }
-    Ok(())
-}
-
-/// `sorted` ascending; `p` in `[0, 1]` (nearest-rank on the closed index).
-fn percentile(sorted: &[std::time::Duration], p: f64) -> std::time::Duration {
-    let idx = ((sorted.len().saturating_sub(1)) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-fn stream_bench(args: &Args) -> Result<(), xfraud::Error> {
-    use xfraud::datagen::{event_stream, flatten_events, generate_log};
-    use xfraud::ingest::{replay_dir, ShardedWal};
-
-    let pipeline = train_pipeline(args)?;
-    let engine = pipeline.serving_engine().build()?;
-    let base_nodes = engine.n_nodes();
-
-    // A fresh week of traffic: same world shape, different seed, entity ids
-    // disjoint from the base graph (they continue its id space).
-    let wcfg = args.preset.config(args.seed.wrapping_add(101));
-    let world = generate_log(&wcfg);
-    let mut arrivals = event_stream(&world, &wcfg, base_nodes);
-    arrivals.truncate(args.stream_txns);
-    let events = flatten_events(&arrivals);
-    println!(
-        "stream-bench: {} arriving txns ({} graph events) onto a {}-node base, {} WAL shards",
-        arrivals.len(),
-        events.len(),
-        base_nodes,
-        args.wal_shards
-    );
-
-    // Phase 1: WAL append throughput (durability path only).
-    let wal_dir = std::env::temp_dir().join(format!("xfraud-stream-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    let wal = ShardedWal::create(&wal_dir, args.wal_shards)?;
-    let started = Instant::now();
-    for e in &events {
-        wal.append(e)?;
-    }
-    wal.sync()?;
-    let wal_rate = events.len() as f64 / started.elapsed().as_secs_f64();
-    println!("wal append: {wal_rate:.0} events/s");
-    let replay = replay_dir(&wal_dir, None)?;
-    assert_eq!(replay.events.len(), events.len(), "wal must replay in full");
-
-    // Phase 2: ingest + score-on-arrival. Each arrival is applied to the
-    // live graph and its transaction scored immediately.
-    let mut latencies = Vec::with_capacity(arrivals.len());
-    let started = Instant::now();
-    for arrival in &arrivals {
-        let t0 = Instant::now();
-        let new_txns = engine.apply_events(&arrival.events)?;
-        engine.score_txn(new_txns[0])?;
-        latencies.push(t0.elapsed());
-    }
-    let ingest_rate = events.len() as f64 / started.elapsed().as_secs_f64();
-    latencies.sort_unstable();
-    let (p50, p99) = (percentile(&latencies, 0.5), percentile(&latencies, 0.99));
-    let (ov_nodes, ov_edges) = engine.overlay_stats();
-    println!(
-        "ingest+score: {ingest_rate:.0} events/s  score-on-arrival p50 {:.2} ms  p99 {:.2} ms",
-        p50.as_secs_f64() * 1e3,
-        p99.as_secs_f64() * 1e3
-    );
-    println!("overlay grew to {ov_nodes} nodes / {ov_edges} directed edges");
-
-    // Phase 3: compaction is invisible to scores (the overlay contract).
-    let probe = arrivals.last().expect("non-empty stream").txn_node;
-    let before = engine.score_txn(probe)?;
-    engine.compact()?;
-    let after = engine.score_txn(probe)?;
-    assert_eq!(before, after, "compaction must not move scores");
-    println!("compacted: overlay folded, scores bit-identical");
-    println!("{}", engine.metrics());
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    Ok(())
 }
 
 /// Resident-set size from `/proc/self/status`, in MiB (0.0 where absent).
@@ -622,106 +158,13 @@ fn datagen_cmd(args: &Args) -> Result<(), xfraud::Error> {
     Ok(())
 }
 
-fn diskstore_bench(args: &Args) -> Result<(), xfraud::Error> {
-    use std::sync::Arc;
-    use xfraud::diskstore::{BlockStore, DiskStore, DiskStoreOptions};
-    use xfraud::kvstore::{FeatureStore, KvStore, ShardedStore};
-
-    let rows = if args.nodes == 0 { 50_000 } else { args.nodes };
-    let dim = if args.dim == 0 { 48 } else { args.dim };
-    let base = if args.out_dir.is_empty() {
-        std::env::temp_dir()
-    } else {
-        std::path::PathBuf::from(&args.out_dir)
-    };
-    let dir = base.join(format!("diskstore-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    println!(
-        "diskstore-bench: {rows} rows x {dim} f32 features in {}",
-        dir.display()
-    );
-    let disk = Arc::new(DiskStore::open(&dir, DiskStoreOptions::default()).map_err(store_err)?);
-    let dfs = FeatureStore::new(Arc::clone(&disk) as Arc<dyn KvStore>, dim);
-    let row: Vec<f32> = (0..dim).map(|i| i as f32 * 0.5).collect();
-    let started = Instant::now();
-    for i in 0..rows {
-        dfs.put_features(i, &row);
-    }
-    disk.flush().map_err(store_err)?;
-    disk.compact().map_err(store_err)?;
-    disk.sync().map_err(store_err)?;
-    let st = disk.storage_stats();
-    println!(
-        "  write+seal: {:.1}s ({} segments, {} bytes, mmap {})",
-        started.elapsed().as_secs_f64(),
-        st.n_segments,
-        st.segment_bytes,
-        if st.mmap_active { "on" } else { "off" }
-    );
-
-    // Sequential scan over sealed segments (the compaction/backup path).
-    let started = Instant::now();
-    let mut n = 0usize;
-    let mut bytes = 0usize;
-    disk.scan(&mut |k, v| {
-        n += 1;
-        bytes += k.len() + v.len();
-    });
-    let secs = started.elapsed().as_secs_f64();
-    println!(
-        "  sequential scan: {n} records, {:.1} MiB in {secs:.3}s = {:.0} rows/s",
-        bytes as f64 / (1 << 20) as f64,
-        n as f64 / secs.max(1e-9)
-    );
-
-    // Random single-row gets (the online feature-lookup path).
-    let n_gets = rows.min(100_000);
-    let started = Instant::now();
-    let mut x = 0x243f_6a88_85a3_08d3u64; // splitmix-style index walk
-    for _ in 0..n_gets {
-        x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-        let got = dfs.get_features((x % rows as u64) as usize);
-        assert_eq!(got.len(), dim, "bench rows must exist");
-    }
-    let secs = started.elapsed().as_secs_f64();
-    println!(
-        "  random get: {n_gets} rows in {secs:.3}s = {:.0} rows/s",
-        n_gets as f64 / secs.max(1e-9)
-    );
-
-    // Parallel loaders, disk-backed vs in-RAM sharded — Fig. 13 on files.
-    let ids: Vec<usize> = (0..rows).cycle().take(rows * 2).collect();
-    let sharded = Arc::new(ShardedStore::new(64));
-    let sfs = FeatureStore::new(Arc::clone(&sharded) as Arc<dyn KvStore>, dim);
-    for i in 0..rows {
-        sfs.put_features(i, &row);
-    }
-    println!("  parallel loaders ({} ids per pass):", ids.len());
-    for threads in [1usize, 2, 4, 8] {
-        let (_, dsecs, dtput) = dfs.load_parallel(&ids, threads);
-        let (_, ssecs, stput) = sfs.load_parallel(&ids, threads);
-        println!(
-            "    {threads} thread(s): diskstore {dtput:>9.0} rows/s ({dsecs:.3}s)   \
-             sharded {stput:>9.0} rows/s ({ssecs:.3}s)"
-        );
-    }
-    println!("  RSS {:.0} MiB", rss_mib());
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(())
-}
-
 fn real_main(args: &Args) -> Result<(), xfraud::Error> {
     match args.command.as_str() {
         "stats" => {
             let ds = Dataset::generate(args.preset, args.seed);
             println!("{}:\n{}", ds.name, ds.stats());
         }
-        "serve-bench" => serve_bench(args)?,
-        "stream-bench" => stream_bench(args)?,
-        "load-bench" => load_bench(args)?,
         "datagen" => datagen_cmd(args)?,
-        "diskstore-bench" => diskstore_bench(args)?,
         "train" | "explain" => {
             let pipeline = train_pipeline(args)?;
             for e in &pipeline.history {

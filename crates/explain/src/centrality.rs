@@ -396,17 +396,18 @@ pub fn communicability_betweenness(g: &SimpleGraph) -> Vec<f64> {
 /// (Newman's random-walk betweenness). Falls back to zeros on disconnected
 /// graphs, which the community extraction rules out in practice.
 pub fn current_flow_betweenness(g: &SimpleGraph) -> Vec<f64> {
-    cfb_impl(g, None, &mut None)
+    cfb_impl(g, None)
 }
 
 /// Sampling approximation of current-flow betweenness over `k` random
 /// source-target pairs (the "approximate current flow betweenness" row of
 /// Table 1).
 pub fn approx_current_flow_betweenness(g: &SimpleGraph, k: usize, rng: &mut StdRng) -> Vec<f64> {
-    cfb_impl(g, Some(k), &mut Some(rng))
+    cfb_impl(g, Some((k, rng)))
 }
 
-fn cfb_impl(g: &SimpleGraph, sample: Option<usize>, rng: &mut Option<&mut StdRng>) -> Vec<f64> {
+/// `sample = Some((k, rng))` draws `k` random pairs; `None` sums all pairs.
+fn cfb_impl(g: &SimpleGraph, sample: Option<(usize, &mut StdRng)>) -> Vec<f64> {
     let n = g.n();
     if n < 3 {
         return vec![0.0; n];
@@ -416,19 +417,16 @@ fn cfb_impl(g: &SimpleGraph, sample: Option<usize>, rng: &mut Option<&mut StdRng
     };
     let edges = g.edges();
     let pairs: Vec<(usize, usize)> = match sample {
-        Some(k) => {
-            let rng = rng.as_mut().expect("rng required for sampling");
-            (0..k)
-                .map(|_| {
-                    let s = rng.gen_range(0..n);
-                    let mut t = rng.gen_range(0..n - 1);
-                    if t >= s {
-                        t += 1;
-                    }
-                    (s.min(t), s.max(t))
-                })
-                .collect()
-        }
+        Some((k, rng)) => (0..k)
+            .map(|_| {
+                let s = rng.gen_range(0..n);
+                let mut t = rng.gen_range(0..n - 1);
+                if t >= s {
+                    t += 1;
+                }
+                (s.min(t), s.max(t))
+            })
+            .collect(),
         None => {
             let mut v = Vec::with_capacity(n * (n - 1) / 2);
             for s in 0..n {
@@ -593,53 +591,52 @@ impl Measure {
 /// F). Returned aligned with `g.undirected_links()`.
 pub fn community_edge_weights(g: &HetGraph, measure: Measure, rng: &mut StdRng) -> Vec<f64> {
     match measure {
-        Measure::EdgeBetweenness | Measure::EdgeLoad => {
+        Measure::EdgeBetweenness => {
             let (sg, links) = SimpleGraph::from_het(g);
-            let computed = match measure {
-                Measure::EdgeBetweenness => edge_betweenness(&sg),
-                _ => edge_load(&sg),
-            };
-            let map: std::collections::HashMap<(usize, usize), f64> =
-                computed.into_iter().collect();
-            links
-                .iter()
-                .map(|&(u, v)| map.get(&(u.min(v), u.max(v))).copied().unwrap_or(0.0))
-                .collect()
+            align_to_links(&links, edge_betweenness(&sg))
         }
-        _ => {
-            let (lg, endpoints) = SimpleGraph::line_graph_of(g);
-            let scores = match measure {
-                Measure::ApproxCurrentFlowBetweenness => {
-                    let k = (lg.n() * 2).max(8);
-                    approx_current_flow_betweenness(&lg, k, rng)
-                }
-                Measure::Betweenness => betweenness(&lg),
-                Measure::Closeness => closeness(&lg),
-                Measure::CommunicabilityBetweenness => communicability_betweenness(&lg),
-                Measure::CurrentFlowBetweenness => current_flow_betweenness(&lg),
-                Measure::CurrentFlowCloseness => current_flow_closeness(&lg),
-                Measure::Degree => degree(&lg),
-                Measure::Eigenvector => eigenvector(&lg),
-                Measure::Harmonic => harmonic(&lg),
-                Measure::Load => load(&lg),
-                Measure::Subgraph => subgraph(&lg),
-                Measure::KernelPageRank => kernel_pagerank(&lg),
-                Measure::KernelKCore => kernel_kcore(&lg),
-                _ => unreachable!("edge measures handled above"),
-            };
-            // Align line-graph scores with undirected_links() order.
-            let links = g.undirected_links();
-            let map: std::collections::HashMap<(usize, usize), f64> = endpoints
-                .iter()
-                .zip(&scores)
-                .map(|(&(u, v), &s)| ((u.min(v), u.max(v)), s))
-                .collect();
-            links
-                .iter()
-                .map(|&(u, v)| map.get(&(u.min(v), u.max(v))).copied().unwrap_or(0.0))
-                .collect()
+        Measure::EdgeLoad => {
+            let (sg, links) = SimpleGraph::from_het(g);
+            align_to_links(&links, edge_load(&sg))
         }
+        Measure::ApproxCurrentFlowBetweenness => line_graph_weights(g, |lg| {
+            approx_current_flow_betweenness(lg, (lg.n() * 2).max(8), rng)
+        }),
+        Measure::Betweenness => line_graph_weights(g, betweenness),
+        Measure::Closeness => line_graph_weights(g, closeness),
+        Measure::CommunicabilityBetweenness => line_graph_weights(g, communicability_betweenness),
+        Measure::CurrentFlowBetweenness => line_graph_weights(g, current_flow_betweenness),
+        Measure::CurrentFlowCloseness => line_graph_weights(g, current_flow_closeness),
+        Measure::Degree => line_graph_weights(g, degree),
+        Measure::Eigenvector => line_graph_weights(g, eigenvector),
+        Measure::Harmonic => line_graph_weights(g, harmonic),
+        Measure::Load => line_graph_weights(g, load),
+        Measure::Subgraph => line_graph_weights(g, subgraph),
+        Measure::KernelPageRank => line_graph_weights(g, kernel_pagerank),
+        Measure::KernelKCore => line_graph_weights(g, kernel_kcore),
     }
+}
+
+/// A node centrality run on the community's line graph.
+fn line_graph_weights(g: &HetGraph, measure: impl FnOnce(&SimpleGraph) -> Vec<f64>) -> Vec<f64> {
+    let (lg, endpoints) = SimpleGraph::line_graph_of(g);
+    let scores = measure(&lg);
+    align_to_links(&g.undirected_links(), endpoints.into_iter().zip(scores))
+}
+
+/// Scores keyed by link endpoints, in `links` order (0.0 for unscored links).
+fn align_to_links(
+    links: &[(usize, usize)],
+    scored: impl IntoIterator<Item = ((usize, usize), f64)>,
+) -> Vec<f64> {
+    let map: std::collections::HashMap<(usize, usize), f64> = scored
+        .into_iter()
+        .map(|((u, v), s)| ((u.min(v), u.max(v)), s))
+        .collect();
+    links
+        .iter()
+        .map(|&(u, v)| map.get(&(u.min(v), u.max(v))).copied().unwrap_or(0.0))
+        .collect()
 }
 
 #[cfg(test)]

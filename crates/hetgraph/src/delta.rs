@@ -144,13 +144,18 @@ impl DeltaGraph {
         }
     }
 
-    /// Appends a transaction node; returns its id.
+    /// Appends a transaction node; returns its id. Features must have the
+    /// graph's width and be finite (NaN/±Inf would break the scorer's
+    /// fast-path ≡ tape contract).
     pub fn add_txn(&mut self, features: &[f32], label: Option<bool>) -> Result<NodeId> {
         if features.len() != self.feature_dim() {
             return Err(GraphError::FeatureDimMismatch {
                 expected: self.feature_dim(),
                 got: features.len(),
             });
+        }
+        if let Some(index) = features.iter().position(|x| !x.is_finite()) {
+            return Err(GraphError::NonFiniteFeature { index });
         }
         let id = self.n_nodes();
         self.new_node_types.push(NodeType::Txn);
@@ -515,5 +520,26 @@ mod tests {
         ));
         assert_eq!(d.n_overlay_edges(), 0);
         assert!(d.compact().unwrap().validate());
+    }
+
+    #[test]
+    fn non_finite_features_are_rejected_before_the_node_lands() {
+        let mut d = DeltaGraph::empty(3);
+        for (bad, index) in [
+            ([0.0, f32::NAN, 1.0], 1),
+            ([f32::INFINITY, 0.0, 0.0], 0),
+            ([0.0, 0.0, f32::NEG_INFINITY], 2),
+        ] {
+            assert_eq!(
+                d.add_txn(&bad, Some(true)),
+                Err(GraphError::NonFiniteFeature { index })
+            );
+        }
+        assert_eq!(d.n_overlay_nodes(), 0);
+        let t = d
+            .add_txn(&[f32::MAX, -0.0, f32::MIN_POSITIVE], None)
+            .unwrap();
+        assert_eq!(t, 0);
+        assert_eq!(d.n_overlay_nodes(), 1);
     }
 }

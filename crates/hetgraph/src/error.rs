@@ -19,6 +19,8 @@ pub enum GraphError {
     LabelOnEntity(usize),
     /// A streamed-in feature row had the wrong width for this graph.
     FeatureDimMismatch { expected: usize, got: usize },
+    /// A streamed-in feature row held NaN or ±Inf at `index`.
+    NonFiniteFeature { index: usize },
 }
 
 impl fmt::Display for GraphError {
@@ -43,6 +45,9 @@ impl fmt::Display for GraphError {
                     f,
                     "feature row has {got} values but the graph expects {expected}"
                 )
+            }
+            GraphError::NonFiniteFeature { index } => {
+                write!(f, "feature {index} of the row is not finite")
             }
         }
     }

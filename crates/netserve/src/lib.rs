@@ -4,7 +4,8 @@
 //! [`ScoringEngine`](xfraud_serve::ScoringEngine): a hand-rolled HTTP/1.1 +
 //! JSON front end (the workspace builds offline — no async runtime, no
 //! serde), the admission-control stack that keeps it standing under
-//! overload, the blocking client, and an open-loop load harness.
+//! overload, and the blocking client. Load against it is generated by the
+//! repo's benchmark (`perf/run.sh`, workloads `wire_cold` and `wire_hot`).
 //!
 //! The layering, bottom up:
 //!
@@ -19,9 +20,6 @@
 //!   scorer crew, in-flight permits (the `503` arm), deadline reaping,
 //!   graceful drain, and detector hot-swap via the shared engine handle;
 //! - [`client`] — [`ScoreClient`], a blocking keep-alive client;
-//! - [`loadgen`] — deterministic open-loop load plans (diurnal curves,
-//!   bursts, hot-key skew) and the measurement harness behind
-//!   `xfraud-cli load-bench`;
 //! - [`metrics`] — the counters `GET /metrics` serves.
 //!
 //! The contract the test suite pins down: scores fetched over the network
@@ -34,7 +32,6 @@ pub mod client;
 pub mod error;
 pub mod http;
 pub mod json;
-pub mod loadgen;
 pub mod metrics;
 pub mod proto;
 pub mod quota;
@@ -42,7 +39,6 @@ pub mod server;
 
 pub use client::{ScoreClient, ScoreOutcome};
 pub use error::{ClientError, NetServeError};
-pub use loadgen::{arrival_offsets, run_load, LoadConfig, LoadReport, RatePattern};
 pub use metrics::{NetMetrics, NetMetricsSnapshot};
 pub use proto::{ScoreRequest, ScoreResponse, DEFAULT_TENANT, MAX_IDS_PER_REQUEST};
 pub use quota::{QuotaConfig, QuotaSet};

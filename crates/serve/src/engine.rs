@@ -332,8 +332,8 @@ impl ScoringEngineBuilder {
         self
     }
 
-    /// Disables both cache tiers (the cold baseline `serve-bench` compares
-    /// against).
+    /// Disables both cache tiers (the cold baseline; `perf/run.sh`'s
+    /// `wire_cold` workload serves through it).
     pub fn no_cache(mut self) -> Self {
         self.cfg.subgraph_cache = 0;
         self.cfg.score_cache = 0;
@@ -1031,6 +1031,34 @@ mod tests {
         let v = eng.graph_version();
         assert_eq!(eng.apply_events(&[]).unwrap(), Vec::<NodeId>::new());
         assert_eq!(eng.graph_version(), v);
+    }
+
+    /// Hostile input: a NaN feature is refused at the graph boundary, so it
+    /// never reaches a forward pass (where the fast path and the tape agree
+    /// only on finite values), and transactions already in the graph keep
+    /// their score bits.
+    #[test]
+    fn non_finite_streamed_features_are_rejected_and_scores_keep_their_bits() {
+        let (detector, g, txns) = setup();
+        let eng = engine(&detector, &g).no_cache().build().unwrap();
+        let bits = |scores: Vec<f32>| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        let before = bits(eng.score(&txns).unwrap());
+
+        let index = g.feature_dim() - 1;
+        let mut features = vec![0.1; g.feature_dim()];
+        features[index] = f32::NAN;
+        let err = eng
+            .apply_events(&[GraphEvent::AddTxn {
+                features,
+                label: None,
+            }])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ServeError::Graph(xfraud_hetgraph::GraphError::NonFiniteFeature { index })
+        );
+        assert_eq!(eng.overlay_stats(), (0, 0), "the row never landed");
+        assert_eq!(bits(eng.score(&txns).unwrap()), before);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Serving telemetry: request counts, micro-batch sizes, cache hit rates
-//! and request-latency percentiles — the numbers `serve-bench` and the
-//! criterion harness report.
+//! and request-latency percentiles — the `serve.*` probes of the repo's
+//! benchmark (`perf/run.sh`) and `GET /metrics` report them.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
