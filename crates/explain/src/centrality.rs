@@ -644,22 +644,124 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// `n` nodes joined by `edges`, in order.
+    fn graph(n: usize, edges: &[(usize, usize)]) -> SimpleGraph {
+        let mut g = SimpleGraph::new(n);
+        for &(u, v) in edges {
+            g.add_edge(u, v);
+        }
+        g
+    }
+
     /// Path 0-1-2-3.
     fn path4() -> SimpleGraph {
-        let mut g = SimpleGraph::new(4);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        g.add_edge(2, 3);
-        g
+        graph(4, &[(0, 1), (1, 2), (2, 3)])
     }
 
     /// Star with centre 0 and leaves 1..=4.
     fn star5() -> SimpleGraph {
-        let mut g = SimpleGraph::new(5);
-        for v in 1..5 {
-            g.add_edge(0, v);
+        graph(5, &[(0, 1), (0, 2), (0, 3), (0, 4)])
+    }
+
+    /// Not connected: path 0-1-2, edge 3-4 and the isolated node 5.
+    fn split6() -> SimpleGraph {
+        graph(6, &[(0, 1), (1, 2), (3, 4)])
+    }
+
+    /// 4×4 grid, row-major ids: corner-to-corner pairs have σ up to 20, so
+    /// the Brandes ratios round.
+    fn grid16() -> SimpleGraph {
+        let mut edges = Vec::new();
+        for v in 0..16 {
+            if v % 4 < 3 {
+                edges.push((v, v + 1));
+            }
+            if v < 12 {
+                edges.push((v, v + 4));
+            }
         }
-        g
+        graph(16, &edges)
+    }
+
+    /// FNV-1a over the `to_bits` of `xs`.
+    fn bits(xs: impl IntoIterator<Item = f64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for x in xs {
+            for byte in x.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Checksums of the shortest-path measures, taken before they moved onto
+    /// the kernels' single-source pass.
+    fn shortest_path_bits(g: &SimpleGraph) -> Vec<(&'static str, u64)> {
+        let edge = |w: Vec<((usize, usize), f64)>| bits(w.into_iter().map(|(_, x)| x));
+        vec![
+            ("degree", bits(degree(g))),
+            ("closeness", bits(closeness(g))),
+            ("harmonic", bits(harmonic(g))),
+            ("betweenness", bits(betweenness(g))),
+            ("load", bits(load(g))),
+            ("edge betweenness", edge(edge_betweenness(g))),
+            ("edge load", edge(edge_load(g))),
+        ]
+    }
+
+    #[test]
+    fn shortest_path_measures_match_networkx_on_a_split_graph() {
+        let g = split6();
+        let close = |got: &[f64], want: &[f64]| {
+            assert_eq!(got.len(), want.len());
+            for (a, b) in got.iter().zip(want) {
+                assert!((a - b).abs() < 1e-12, "{got:?} vs {want:?}");
+            }
+        };
+        close(
+            &closeness(&g),
+            &[4.0 / 15.0, 0.4, 4.0 / 15.0, 0.2, 0.2, 0.0],
+        );
+        close(&harmonic(&g), &[1.5, 2.0, 1.5, 1.0, 1.0, 0.0]);
+        close(&betweenness(&g), &[0.0, 0.1, 0.0, 0.0, 0.0, 0.0]);
+        close(&load(&g), &[0.0, 0.1, 0.0, 0.0, 0.0, 0.0]);
+        let eb = edge_betweenness(&g);
+        let keys: Vec<(usize, usize)> = eb.iter().map(|&(e, _)| e).collect();
+        assert_eq!(keys, vec![(0, 1), (1, 2), (3, 4)]);
+        let vals: Vec<f64> = eb.iter().map(|&(_, x)| x).collect();
+        close(&vals, &[2.0 / 15.0, 2.0 / 15.0, 1.0 / 15.0]);
+    }
+
+    #[test]
+    fn shortest_path_measures_keep_their_pinned_bits() {
+        assert_eq!(
+            shortest_path_bits(&split6()),
+            vec![
+                ("degree", 0x4b1f80d1f01e8f2c),
+                ("closeness", 0xb0a15ae8e0486d94),
+                ("harmonic", 0x6f13a5a1cc492255),
+                ("betweenness", 0xd56617beacea9664),
+                ("load", 0xd56617beacea9664),
+                ("edge betweenness", 0x595386e77a602fc3),
+                ("edge load", 0x595386e77a602fc3),
+            ],
+            "split graph: {:#x?}",
+            shortest_path_bits(&split6())
+        );
+        assert_eq!(
+            shortest_path_bits(&grid16()),
+            vec![
+                ("degree", 0x12f9d210ad9f6c15),
+                ("closeness", 0xc985344493160d9d),
+                ("harmonic", 0x0918e825034d345f),
+                ("betweenness", 0x4e70a31fe14fe62d),
+                ("load", 0xfcbb52fbab2411c5),
+                ("edge betweenness", 0x9b39cbbb0ddfb171),
+                ("edge load", 0xb81b07ef47ac3305),
+            ],
+            "grid: {:#x?}",
+            shortest_path_bits(&grid16())
+        );
     }
 
     #[test]
@@ -702,15 +804,19 @@ mod tests {
         // unequal σ: here node 6 is reached via node 3 (σ=2: through 1 or
         // 2) and via node 5 (σ=1), so betweenness gives node 3 weight 2/3
         // of the (0,6) pair while load gives it 1/2.
-        let mut g = SimpleGraph::new(7);
-        g.add_edge(0, 1);
-        g.add_edge(0, 2);
-        g.add_edge(1, 3);
-        g.add_edge(2, 3);
-        g.add_edge(3, 6);
-        g.add_edge(0, 4);
-        g.add_edge(4, 5);
-        g.add_edge(5, 6);
+        let g = graph(
+            7,
+            &[
+                (0, 1),
+                (0, 2),
+                (1, 3),
+                (2, 3),
+                (3, 6),
+                (0, 4),
+                (4, 5),
+                (5, 6),
+            ],
+        );
         let b = betweenness(&g);
         let l = load(&g);
         let same = b.iter().zip(&l).all(|(x, y)| (x - y).abs() < 1e-9);
@@ -805,12 +911,7 @@ mod tests {
         let pr = kernel_pagerank(&star5());
         assert!(pr[0] > pr[1] && (pr[1] - pr[4]).abs() < 1e-12);
 
-        let mut tri = SimpleGraph::new(5);
-        tri.add_edge(0, 1);
-        tri.add_edge(1, 2);
-        tri.add_edge(2, 0);
-        tri.add_edge(2, 3);
-        tri.add_edge(3, 4);
+        let tri = graph(5, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]);
         let kc = kernel_kcore(&tri);
         assert_eq!(kc, vec![2.0, 2.0, 2.0, 1.0, 1.0]);
     }

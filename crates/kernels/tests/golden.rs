@@ -150,6 +150,23 @@ fn pagerank_matches_power_iteration() {
     );
 }
 
+/// The default config stops on the L1 residual, summed per 4 096-node block
+/// and then across blocks; the small-sim graph spans two blocks. Pinned
+/// before PageRank went serial, so a reordered residual sum (and hence a
+/// different stopping sweep) fails here.
+#[test]
+fn pagerank_at_default_config_keeps_its_pinned_bits() {
+    let g = txn_graph();
+    assert!(g.n_nodes() > 4096, "graph must span two residual blocks");
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for x in pagerank(&g, &KernelConfig::default()) {
+        for byte in x.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    assert_eq!(h, 0xdf14cb323e298931, "got {h:#x}");
+}
+
 #[test]
 fn connected_components_match_union_find() {
     let g = txn_graph();
