@@ -10,138 +10,61 @@
 //!    current-flow closeness — so each line-graph node score becomes the
 //!    weight of its underlying edge.
 //!
-//! All functions take a [`SimpleGraph`] (undirected adjacency lists) and are
-//! validated against hand-computed / networkx values on canonical graphs in
-//! the tests.
+//! Every measure takes a [`FlatCsr`] built by [`FlatCsr::from_edges`], the
+//! graph type the kernels run on. The shortest-path measures (closeness,
+//! harmonic, betweenness, load and the two edge measures) are sweeps over
+//! the kernels' single-source pass, [`ShortestPaths`]; node betweenness is
+//! [`xfraud_kernels::betweenness`] normalised. The dense measures build an
+//! adjacency or Laplacian matrix from the same CSR. All are validated
+//! against hand-computed / networkx values on canonical graphs in the tests.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use xfraud_hetgraph::{line_graph, HetGraph};
+use xfraud_kernels::{FlatCsr, KernelConfig, ShortestPaths, UNREACHED};
 use xfraud_tensor::Tensor;
 
 use crate::linalg::{laplacian_pinv, matrix_exp};
 
-/// A plain undirected graph for centrality computation.
-#[derive(Debug, Clone)]
-pub struct SimpleGraph {
-    pub adj: Vec<Vec<usize>>,
+/// Undirected edges `(u, v)` with `u < v`, sorted.
+fn edge_list(g: &FlatCsr) -> Vec<(usize, usize)> {
+    let mut out: Vec<(usize, usize)> = (0..g.n_nodes())
+        .flat_map(|u| g.neighbors(u).iter().map(move |&v| (u, v as usize)))
+        .filter(|&(u, v)| u < v)
+        .collect();
+    out.sort_unstable();
+    out
 }
 
-impl SimpleGraph {
-    pub fn new(n: usize) -> Self {
-        SimpleGraph {
-            adj: vec![Vec::new(); n],
-        }
-    }
-
-    pub fn add_edge(&mut self, u: usize, v: usize) {
-        self.adj[u].push(v);
-        self.adj[v].push(u);
-    }
-
-    pub fn n(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Unique undirected edges `(min, max)`, sorted.
-    pub fn edges(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for (u, nbrs) in self.adj.iter().enumerate() {
-            for &v in nbrs {
-                if u < v {
-                    out.push((u, v));
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// The undirected view of a heterogeneous community graph.
-    pub fn from_het(g: &HetGraph) -> (SimpleGraph, Vec<(usize, usize)>) {
-        let mut sg = SimpleGraph::new(g.n_nodes());
-        let links = g.undirected_links();
-        for &(u, v) in &links {
-            sg.add_edge(u, v);
-        }
-        (sg, links)
-    }
-
-    /// The line graph as a [`SimpleGraph`] plus the link each line-node
-    /// represents.
-    pub fn line_graph_of(g: &HetGraph) -> (SimpleGraph, Vec<(usize, usize)>) {
-        let lg = line_graph(g);
-        let mut sg = SimpleGraph::new(lg.n_nodes());
-        for (u, nbrs) in lg.adj.iter().enumerate() {
-            for &v in nbrs {
-                if u < v {
-                    sg.add_edge(u, v);
-                }
-            }
-        }
-        (sg, lg.endpoints)
-    }
-
-    fn adjacency_matrix(&self) -> Tensor {
-        let n = self.n();
-        let mut a = Tensor::zeros(n, n);
-        for (u, nbrs) in self.adj.iter().enumerate() {
-            for &v in nbrs {
-                a.set(u, v, 1.0);
-            }
-        }
-        a
-    }
-
-    fn laplacian(&self) -> Tensor {
-        let n = self.n();
-        let mut l = Tensor::zeros(n, n);
-        for (u, nbrs) in self.adj.iter().enumerate() {
-            l.set(u, u, nbrs.len() as f32);
-            for &v in nbrs {
-                l.set(u, v, -1.0);
-            }
-        }
-        l
-    }
-
-    fn bfs(&self, s: usize) -> Bfs {
-        let n = self.n();
-        let mut dist = vec![usize::MAX; n];
-        let mut sigma = vec![0.0f64; n];
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut order = Vec::with_capacity(n);
-        dist[s] = 0;
-        sigma[s] = 1.0;
-        let mut queue = std::collections::VecDeque::from([s]);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            for &w in &self.adj[v] {
-                if dist[w] == usize::MAX {
-                    dist[w] = dist[v] + 1;
-                    queue.push_back(w);
-                }
-                if dist[w] == dist[v] + 1 {
-                    sigma[w] += sigma[v];
-                    preds[w].push(v);
-                }
-            }
-        }
-        Bfs {
-            dist,
-            sigma,
-            preds,
-            order,
-        }
+/// Adds `x` to the weight of edge `{v, w}`, indexed by the sorted `edges`.
+fn add_to_edge(edges: &[(usize, usize)], weights: &mut [f64], v: usize, w: usize, x: f64) {
+    if let Ok(i) = edges.binary_search(&(v.min(w), v.max(w))) {
+        weights[i] += x;
     }
 }
 
-struct Bfs {
-    dist: Vec<usize>,
-    sigma: Vec<f64>,
-    preds: Vec<Vec<usize>>,
-    order: Vec<usize>,
+fn adjacency_matrix(g: &FlatCsr) -> Tensor {
+    let n = g.n_nodes();
+    let mut a = Tensor::zeros(n, n);
+    for u in 0..n {
+        for &v in g.neighbors(u) {
+            a.set(u, v as usize, 1.0);
+        }
+    }
+    a
+}
+
+fn laplacian(g: &FlatCsr) -> Tensor {
+    let n = g.n_nodes();
+    let mut l = Tensor::zeros(n, n);
+    for u in 0..n {
+        l.set(u, u, g.degree(u) as f32);
+        for &v in g.neighbors(u) {
+            l.set(u, v as usize, -1.0);
+        }
+    }
+    l
 }
 
 /// networkx's normalisation for undirected node betweenness/load applied to
@@ -166,23 +89,23 @@ fn edge_pair_scale(n: usize) -> f64 {
 }
 
 /// Degree centrality `deg / (n-1)`.
-pub fn degree(g: &SimpleGraph) -> Vec<f64> {
-    let n = g.n();
+pub fn degree(g: &FlatCsr) -> Vec<f64> {
+    let n = g.n_nodes();
     let denom = (n.max(2) - 1) as f64;
-    g.adj.iter().map(|nb| nb.len() as f64 / denom).collect()
+    (0..n).map(|v| g.degree(v) as f64 / denom).collect()
 }
 
 /// Closeness with networkx's reachable-fraction scaling:
 /// `C(u) = (r-1)/Σd · (r-1)/(n-1)` where `r` counts reachable nodes.
-pub fn closeness(g: &SimpleGraph) -> Vec<f64> {
-    let n = g.n();
+pub fn closeness(g: &FlatCsr) -> Vec<f64> {
+    let n = g.n_nodes();
+    let mut sp = ShortestPaths::default();
     (0..n)
         .map(|u| {
-            let bfs = g.bfs(u);
-            let reach: Vec<usize> = (0..n)
-                .filter(|&v| v != u && bfs.dist[v] != usize::MAX)
-                .collect();
-            let total: usize = reach.iter().map(|&v| bfs.dist[v]).sum();
+            sp.run(g, u);
+            // The visit order is `u` followed by every node it reaches.
+            let reach = &sp.order()[1..];
+            let total: usize = reach.iter().map(|&v| sp.dist()[v]).sum();
             if reach.is_empty() || total == 0 {
                 0.0
             } else {
@@ -193,139 +116,115 @@ pub fn closeness(g: &SimpleGraph) -> Vec<f64> {
         .collect()
 }
 
-/// Harmonic centrality `Σ 1/d(u,v)`.
-pub fn harmonic(g: &SimpleGraph) -> Vec<f64> {
-    let n = g.n();
+/// Harmonic centrality `Σ 1/d(u,v)`, summed in node order.
+pub fn harmonic(g: &FlatCsr) -> Vec<f64> {
+    let n = g.n_nodes();
+    let mut sp = ShortestPaths::default();
     (0..n)
         .map(|u| {
-            let bfs = g.bfs(u);
+            sp.run(g, u);
+            let dist = sp.dist();
             (0..n)
-                .filter(|&v| v != u && bfs.dist[v] != usize::MAX)
-                .map(|v| 1.0 / bfs.dist[v] as f64)
+                .filter(|&v| v != u && dist[v] != UNREACHED)
+                .map(|v| 1.0 / dist[v] as f64)
                 .sum()
         })
         .collect()
 }
 
-/// Node betweenness via Brandes, normalised.
-pub fn betweenness(g: &SimpleGraph) -> Vec<f64> {
-    let n = g.n();
-    let mut bc = vec![0.0f64; n];
-    for s in 0..n {
-        let bfs = g.bfs(s);
-        let mut delta = vec![0.0f64; n];
-        for &w in bfs.order.iter().rev() {
-            for &v in &bfs.preds[w] {
-                delta[v] += bfs.sigma[v] / bfs.sigma[w] * (1.0 + delta[w]);
-            }
-            if w != s {
-                bc[w] += delta[w];
-            }
-        }
-    }
-    let scale = node_pair_scale(n);
-    bc.iter_mut().for_each(|b| *b *= scale);
-    bc
+/// Node betweenness: the kernels' Brandes sums, normalised.
+pub fn betweenness(g: &FlatCsr) -> Vec<f64> {
+    let scale = node_pair_scale(g.n_nodes());
+    xfraud_kernels::betweenness(g)
+        .into_iter()
+        .map(|b| b * scale)
+        .collect()
 }
 
 /// Edge betweenness via Brandes' edge accumulation, normalised by
 /// `2/(n(n-1))` as networkx does for undirected graphs.
-pub fn edge_betweenness(g: &SimpleGraph) -> Vec<((usize, usize), f64)> {
-    let n = g.n();
-    let edges = g.edges();
-    let index: std::collections::HashMap<(usize, usize), usize> =
-        edges.iter().enumerate().map(|(i, &e)| (e, i)).collect();
+pub fn edge_betweenness(g: &FlatCsr) -> Vec<((usize, usize), f64)> {
+    let n = g.n_nodes();
+    let edges = edge_list(g);
     let mut eb = vec![0.0f64; edges.len()];
+    let mut delta = vec![0.0f64; n];
+    let mut sp = ShortestPaths::default();
     for s in 0..n {
-        let bfs = g.bfs(s);
-        let mut delta = vec![0.0f64; n];
-        for &w in bfs.order.iter().rev() {
-            for &v in &bfs.preds[w] {
-                let c = bfs.sigma[v] / bfs.sigma[w] * (1.0 + delta[w]);
-                let key = (v.min(w), v.max(w));
-                eb[index[&key]] += c;
+        sp.run(g, s);
+        delta.fill(0.0);
+        let sigma = sp.sigma();
+        for &w in sp.order().iter().rev() {
+            for v in sp.preds(g, w) {
+                let c = sigma[v] / sigma[w] * (1.0 + delta[w]);
+                add_to_edge(&edges, &mut eb, v, w, c);
                 delta[v] += c;
             }
         }
     }
-    let scale = edge_pair_scale(n);
-    edges
-        .into_iter()
-        .zip(eb)
-        .map(|(e, b)| (e, b * scale))
-        .collect()
+    scaled_edges(edges, eb, edge_pair_scale(n))
 }
 
-/// Goh-style load centrality: a unit of "flow" from every source to every
-/// other node splits *equally among predecessors* at each branch (this is
-/// what distinguishes load from betweenness). Normalised like betweenness.
-pub fn load(g: &SimpleGraph) -> Vec<f64> {
-    let n = g.n();
+/// Goh's load process from every source: a unit of flow from `s` to each
+/// node it reaches splits *equally among predecessors* on the way back
+/// (this is what distinguishes load from betweenness). Calls
+/// `on_share(v, w, share)` for every predecessor `v` of `w` and returns the
+/// flow through each node, endpoints excluded, unnormalised.
+fn load_process(g: &FlatCsr, mut on_share: impl FnMut(usize, usize, f64)) -> Vec<f64> {
+    let n = g.n_nodes();
     let mut lc = vec![0.0f64; n];
+    let mut b = vec![0.0f64; n];
+    let mut sp = ShortestPaths::default();
     for s in 0..n {
-        let bfs = g.bfs(s);
-        let mut b = vec![1.0f64; n];
-        for &w in bfs.order.iter().rev() {
-            if w == s {
-                continue;
-            }
-            let np = bfs.preds[w].len() as f64;
-            if np == 0.0 {
-                continue;
-            }
-            let share = b[w] / np;
-            for &v in &bfs.preds[w] {
+        sp.run(g, s);
+        b.fill(1.0);
+        // Everything after the source in visit order, farthest first.
+        let reached = &sp.order()[1..];
+        for &w in reached.iter().rev() {
+            let share = b[w] / sp.preds(g, w).count() as f64;
+            for v in sp.preds(g, w) {
                 b[v] += share;
+                on_share(v, w, share);
             }
         }
-        for v in 0..n {
-            if v != s && bfs.dist[v] != usize::MAX {
-                lc[v] += b[v] - 1.0;
-            }
+        for &v in reached {
+            lc[v] += b[v] - 1.0;
         }
     }
-    let scale = node_pair_scale(n);
-    lc.iter_mut().for_each(|x| *x *= scale);
     lc
 }
 
+/// Load centrality, normalised like betweenness.
+pub fn load(g: &FlatCsr) -> Vec<f64> {
+    let scale = node_pair_scale(g.n_nodes());
+    load_process(g, |_, _, _| {})
+        .into_iter()
+        .map(|x| x * scale)
+        .collect()
+}
+
 /// Edge load: the per-edge flow of the same splitting process.
-pub fn edge_load(g: &SimpleGraph) -> Vec<((usize, usize), f64)> {
-    let n = g.n();
-    let edges = g.edges();
-    let index: std::collections::HashMap<(usize, usize), usize> =
-        edges.iter().enumerate().map(|(i, &e)| (e, i)).collect();
+pub fn edge_load(g: &FlatCsr) -> Vec<((usize, usize), f64)> {
+    let edges = edge_list(g);
     let mut el = vec![0.0f64; edges.len()];
-    for s in 0..n {
-        let bfs = g.bfs(s);
-        let mut b = vec![1.0f64; n];
-        for &w in bfs.order.iter().rev() {
-            if w == s {
-                continue;
-            }
-            let np = bfs.preds[w].len() as f64;
-            if np == 0.0 {
-                continue;
-            }
-            let share = b[w] / np;
-            for &v in &bfs.preds[w] {
-                b[v] += share;
-                let key = (v.min(w), v.max(w));
-                el[index[&key]] += share;
-            }
-        }
-    }
-    let scale = edge_pair_scale(n);
+    load_process(g, |v, w, share| add_to_edge(&edges, &mut el, v, w, share));
+    scaled_edges(edges, el, edge_pair_scale(g.n_nodes()))
+}
+
+fn scaled_edges(
+    edges: Vec<(usize, usize)>,
+    raw: Vec<f64>,
+    scale: f64,
+) -> Vec<((usize, usize), f64)> {
     edges
         .into_iter()
-        .zip(el)
-        .map(|(e, l)| (e, l * scale))
+        .zip(raw)
+        .map(|(e, x)| (e, x * scale))
         .collect()
 }
 
 /// Eigenvector centrality by power iteration on the adjacency matrix.
-pub fn eigenvector(g: &SimpleGraph) -> Vec<f64> {
-    let n = g.n();
+pub fn eigenvector(g: &FlatCsr) -> Vec<f64> {
+    let n = g.n_nodes();
     if n == 0 {
         return Vec::new();
     }
@@ -334,9 +233,9 @@ pub fn eigenvector(g: &SimpleGraph) -> Vec<f64> {
         // Iterate on A + I: same eigenvectors, but the +I shift breaks the
         // period-2 oscillation power iteration hits on bipartite graphs.
         let mut next = x.clone();
-        for (u, nbrs) in g.adj.iter().enumerate() {
-            for &v in nbrs {
-                next[u] += x[v];
+        for (u, nu) in next.iter_mut().enumerate() {
+            for &v in g.neighbors(u) {
+                *nu += x[v as usize];
             }
         }
         let norm: f64 = next.iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -350,19 +249,19 @@ pub fn eigenvector(g: &SimpleGraph) -> Vec<f64> {
 }
 
 /// Subgraph centrality: `diag(e^A)` (Estrada & Rodríguez-Velázquez).
-pub fn subgraph(g: &SimpleGraph) -> Vec<f64> {
-    let e = matrix_exp(&g.adjacency_matrix());
-    (0..g.n()).map(|i| e.get(i, i) as f64).collect()
+pub fn subgraph(g: &FlatCsr) -> Vec<f64> {
+    let e = matrix_exp(&adjacency_matrix(g));
+    (0..g.n_nodes()).map(|i| e.get(i, i) as f64).collect()
 }
 
 /// Communicability betweenness (Estrada et al.): how much total
 /// communicability drops when a node's edges are removed.
-pub fn communicability_betweenness(g: &SimpleGraph) -> Vec<f64> {
-    let n = g.n();
+pub fn communicability_betweenness(g: &FlatCsr) -> Vec<f64> {
+    let n = g.n_nodes();
     if n < 3 {
         return vec![0.0; n];
     }
-    let a = g.adjacency_matrix();
+    let a = adjacency_matrix(g);
     let ea = matrix_exp(&a);
     let denom = ((n - 1) * (n - 1) - (n - 1)) as f64;
     (0..n)
@@ -395,27 +294,30 @@ pub fn communicability_betweenness(g: &SimpleGraph) -> Vec<f64> {
 /// Exact current-flow betweenness via the Laplacian pseudo-inverse
 /// (Newman's random-walk betweenness). Falls back to zeros on disconnected
 /// graphs, which the community extraction rules out in practice.
-pub fn current_flow_betweenness(g: &SimpleGraph) -> Vec<f64> {
+pub fn current_flow_betweenness(g: &FlatCsr) -> Vec<f64> {
     cfb_impl(g, None)
 }
 
 /// Sampling approximation of current-flow betweenness over `k` random
 /// source-target pairs (the "approximate current flow betweenness" row of
-/// Table 1).
-pub fn approx_current_flow_betweenness(g: &SimpleGraph, k: usize, rng: &mut StdRng) -> Vec<f64> {
+/// Table 1). Zeros when `k == 0`: with no pairs there is nothing to scale.
+pub fn approx_current_flow_betweenness(g: &FlatCsr, k: usize, rng: &mut StdRng) -> Vec<f64> {
+    if k == 0 {
+        return vec![0.0; g.n_nodes()];
+    }
     cfb_impl(g, Some((k, rng)))
 }
 
 /// `sample = Some((k, rng))` draws `k` random pairs; `None` sums all pairs.
-fn cfb_impl(g: &SimpleGraph, sample: Option<(usize, &mut StdRng)>) -> Vec<f64> {
-    let n = g.n();
+fn cfb_impl(g: &FlatCsr, sample: Option<(usize, &mut StdRng)>) -> Vec<f64> {
+    let n = g.n_nodes();
     if n < 3 {
         return vec![0.0; n];
     }
-    let Some(gamma) = laplacian_pinv(&g.laplacian()) else {
+    let Some(gamma) = laplacian_pinv(&laplacian(g)) else {
         return vec![0.0; n];
     };
-    let edges = g.edges();
+    let edges = edge_list(g);
     let pairs: Vec<(usize, usize)> = match sample {
         Some((k, rng)) => (0..k)
             .map(|_| {
@@ -459,12 +361,12 @@ fn cfb_impl(g: &SimpleGraph, sample: Option<(usize, &mut StdRng)>) -> Vec<f64> {
 
 /// Current-flow closeness = information centrality:
 /// `C(v) = (n-1) / Σ_u (Γ_vv + Γ_uu − 2Γ_uv)`.
-pub fn current_flow_closeness(g: &SimpleGraph) -> Vec<f64> {
-    let n = g.n();
+pub fn current_flow_closeness(g: &FlatCsr) -> Vec<f64> {
+    let n = g.n_nodes();
     if n < 2 {
         return vec![0.0; n];
     }
-    let Some(gamma) = laplacian_pinv(&g.laplacian()) else {
+    let Some(gamma) = laplacian_pinv(&laplacian(g)) else {
         return vec![0.0; n];
     };
     (0..n)
@@ -482,26 +384,20 @@ pub fn current_flow_closeness(g: &SimpleGraph) -> Vec<f64> {
         .collect()
 }
 
-/// PageRank of the line-graph nodes, computed by the parallel GAP kernel
+/// PageRank of the line-graph nodes, computed by the GAP kernel
 /// (`xfraud_kernels::pagerank`). Not a Table-1 row — an additional feature
 /// source layered on the paper's thirteen.
-pub fn kernel_pagerank(g: &SimpleGraph) -> Vec<f64> {
-    match xfraud_kernels::FlatCsr::from_adj(&g.adj) {
-        Ok(flat) => xfraud_kernels::pagerank(&flat, &xfraud_kernels::KernelConfig::default()),
-        Err(_) => vec![0.0; g.n()],
-    }
+pub fn kernel_pagerank(g: &FlatCsr) -> Vec<f64> {
+    xfraud_kernels::pagerank(g, &KernelConfig::default())
 }
 
 /// k-core numbers of the line-graph nodes via the Batagelj–Zaveršnik kernel
 /// (`xfraud_kernels::core_numbers`). Not a Table-1 row.
-pub fn kernel_kcore(g: &SimpleGraph) -> Vec<f64> {
-    match xfraud_kernels::FlatCsr::from_adj(&g.adj) {
-        Ok(flat) => xfraud_kernels::core_numbers(&flat)
-            .into_iter()
-            .map(f64::from)
-            .collect(),
-        Err(_) => vec![0.0; g.n()],
-    }
+pub fn kernel_kcore(g: &FlatCsr) -> Vec<f64> {
+    xfraud_kernels::core_numbers(g)
+        .into_iter()
+        .map(f64::from)
+        .collect()
 }
 
 /// The thirteen Table-1 centrality rows, plus two kernel-backed extras
@@ -591,16 +487,10 @@ impl Measure {
 /// F). Returned aligned with `g.undirected_links()`.
 pub fn community_edge_weights(g: &HetGraph, measure: Measure, rng: &mut StdRng) -> Vec<f64> {
     match measure {
-        Measure::EdgeBetweenness => {
-            let (sg, links) = SimpleGraph::from_het(g);
-            align_to_links(&links, edge_betweenness(&sg))
-        }
-        Measure::EdgeLoad => {
-            let (sg, links) = SimpleGraph::from_het(g);
-            align_to_links(&links, edge_load(&sg))
-        }
+        Measure::EdgeBetweenness => edge_weights(g, edge_betweenness),
+        Measure::EdgeLoad => edge_weights(g, edge_load),
         Measure::ApproxCurrentFlowBetweenness => line_graph_weights(g, |lg| {
-            approx_current_flow_betweenness(lg, (lg.n() * 2).max(8), rng)
+            approx_current_flow_betweenness(lg, (lg.n_nodes() * 2).max(8), rng)
         }),
         Measure::Betweenness => line_graph_weights(g, betweenness),
         Measure::Closeness => line_graph_weights(g, closeness),
@@ -617,26 +507,41 @@ pub fn community_edge_weights(g: &HetGraph, measure: Measure, rng: &mut StdRng) 
     }
 }
 
-/// A node centrality run on the community's line graph.
-fn line_graph_weights(g: &HetGraph, measure: impl FnOnce(&SimpleGraph) -> Vec<f64>) -> Vec<f64> {
-    let (lg, endpoints) = SimpleGraph::line_graph_of(g);
-    let scores = measure(&lg);
-    align_to_links(&g.undirected_links(), endpoints.into_iter().zip(scores))
-}
+/// An edge centrality: weights keyed by sorted endpoints, in sorted order.
+type EdgeMeasure = fn(&FlatCsr) -> Vec<((usize, usize), f64)>;
 
-/// Scores keyed by link endpoints, in `links` order (0.0 for unscored links).
-fn align_to_links(
-    links: &[(usize, usize)],
-    scored: impl IntoIterator<Item = ((usize, usize), f64)>,
-) -> Vec<f64> {
-    let map: std::collections::HashMap<(usize, usize), f64> = scored
-        .into_iter()
-        .map(|((u, v), s)| ((u.min(v), u.max(v)), s))
-        .collect();
+/// An edge centrality run on the community graph, moved from its sorted
+/// edge order into link order.
+fn edge_weights(g: &HetGraph, measure: EdgeMeasure) -> Vec<f64> {
+    let links = g.undirected_links();
+    let scored = FlatCsr::from_edges(g.n_nodes(), &links)
+        .map(|cg| measure(&cg))
+        .unwrap_or_default();
     links
         .iter()
-        .map(|&(u, v)| map.get(&(u.min(v), u.max(v))).copied().unwrap_or(0.0))
+        .map(|&(u, v)| {
+            scored
+                .binary_search_by_key(&(u.min(v), u.max(v)), |&(e, _)| e)
+                .map_or(0.0, |i| scored[i].1)
+        })
         .collect()
+}
+
+/// A node centrality run on the community's line graph. Line node `i`
+/// stands for link `i` of `g.undirected_links()`, so the scores come out in
+/// link order.
+fn line_graph_weights(g: &HetGraph, measure: impl FnOnce(&FlatCsr) -> Vec<f64>) -> Vec<f64> {
+    let lg = line_graph(g);
+    let edges: Vec<(usize, usize)> = lg
+        .adj
+        .iter()
+        .enumerate()
+        .flat_map(|(u, nbrs)| nbrs.iter().filter(move |&&v| u < v).map(move |&v| (u, v)))
+        .collect();
+    match FlatCsr::from_edges(lg.n_nodes(), &edges) {
+        Ok(flat) => measure(&flat),
+        Err(_) => vec![0.0; lg.n_nodes()],
+    }
 }
 
 #[cfg(test)]
@@ -645,32 +550,28 @@ mod tests {
     use rand::SeedableRng;
 
     /// `n` nodes joined by `edges`, in order.
-    fn graph(n: usize, edges: &[(usize, usize)]) -> SimpleGraph {
-        let mut g = SimpleGraph::new(n);
-        for &(u, v) in edges {
-            g.add_edge(u, v);
-        }
-        g
+    fn graph(n: usize, edges: &[(usize, usize)]) -> FlatCsr {
+        FlatCsr::from_edges(n, edges).unwrap()
     }
 
     /// Path 0-1-2-3.
-    fn path4() -> SimpleGraph {
+    fn path4() -> FlatCsr {
         graph(4, &[(0, 1), (1, 2), (2, 3)])
     }
 
     /// Star with centre 0 and leaves 1..=4.
-    fn star5() -> SimpleGraph {
+    fn star5() -> FlatCsr {
         graph(5, &[(0, 1), (0, 2), (0, 3), (0, 4)])
     }
 
     /// Not connected: path 0-1-2, edge 3-4 and the isolated node 5.
-    fn split6() -> SimpleGraph {
+    fn split6() -> FlatCsr {
         graph(6, &[(0, 1), (1, 2), (3, 4)])
     }
 
     /// 4×4 grid, row-major ids: corner-to-corner pairs have σ up to 20, so
     /// the Brandes ratios round.
-    fn grid16() -> SimpleGraph {
+    fn grid16() -> FlatCsr {
         let mut edges = Vec::new();
         for v in 0..16 {
             if v % 4 < 3 {
@@ -696,7 +597,7 @@ mod tests {
 
     /// Checksums of the shortest-path measures, taken before they moved onto
     /// the kernels' single-source pass.
-    fn shortest_path_bits(g: &SimpleGraph) -> Vec<(&'static str, u64)> {
+    fn shortest_path_bits(g: &FlatCsr) -> Vec<(&'static str, u64)> {
         let edge = |w: Vec<((usize, usize), f64)>| bits(w.into_iter().map(|(_, x)| x));
         vec![
             ("degree", bits(degree(g))),
@@ -902,6 +803,13 @@ mod tests {
         for (e, a) in exact.iter().zip(&approx) {
             assert!((e - a).abs() < 0.1, "exact {exact:?} vs approx {approx:?}");
         }
+    }
+
+    #[test]
+    fn approx_cfb_with_no_samples_is_zero_not_nan() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let cfb = approx_current_flow_betweenness(&star5(), 0, &mut rng);
+        assert_eq!(cfb, vec![0.0; 5]);
     }
 
     #[test]

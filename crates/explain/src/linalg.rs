@@ -3,6 +3,7 @@
 //! Communities average 81.6 edges (so line graphs of ≲200 nodes); plain
 //! O(n³) dense algorithms are both simplest and fastest at this scale.
 
+use xfraud_tensor::kernels::matmul_into;
 use xfraud_tensor::Tensor;
 
 /// Solves `A x = b` for square `A` by Gaussian elimination with partial
@@ -24,7 +25,7 @@ pub fn solve(a: &Tensor, b: &[f64]) -> Option<Vec<f64>> {
             .enumerate()
             .skip(col)
             .map(|(r, row)| (r, &row[col]))
-            .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).unwrap())?;
+            .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))?;
         if max.abs() < 1e-12 {
             return None;
         }
@@ -99,15 +100,26 @@ pub fn matrix_exp(a: &Tensor) -> Tensor {
     let mut result = identity(n);
     let mut term = identity(n);
     for k in 1..=12 {
-        term = term.matmul(&scaled).expect("square");
+        term = square_matmul(&term, &scaled);
         term.scale_assign(1.0 / k as f32);
-        result.add_assign(&term).expect("same shape");
+        for (r, &t) in result.data_mut().iter_mut().zip(term.data()) {
+            *r += t;
+        }
     }
     // Square s times.
     for _ in 0..s {
-        result = result.matmul(&result).expect("square");
+        result = square_matmul(&result, &result);
     }
     result
+}
+
+/// `a @ b` for two `n × n` tensors, on the kernel `Tensor::matmul` wraps
+/// (same bits, no shape error to handle).
+fn square_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    let n = a.rows();
+    let mut out = Tensor::zeros(n, n);
+    matmul_into(a.data(), b.data(), out.data_mut(), n, n, n);
+    out
 }
 
 pub fn identity(n: usize) -> Tensor {

@@ -1,121 +1,110 @@
-//! Betweenness centrality (Brandes), parallel over fixed source chunks.
+//! The workspace's one shortest-path pass, and Brandes betweenness on it.
 //!
-//! One Brandes pass per source: a BFS records visit order, shortest-path
-//! counts `sigma` and distances; the reverse sweep accumulates dependencies
-//! without predecessor lists (a neighbor `u` of `w` is a predecessor iff
-//! `dist[u] == dist[w] - 1`). Sources are processed in fixed chunks of
-//! [`SOURCE_CHUNK`]; each chunk accumulates into its own partial vector in
-//! source order, and partials are folded in chunk order — the usual trick in
-//! this crate for a thread-count-invariant floating-point result.
+//! [`ShortestPaths::run`] is a plain FIFO BFS from one source that records
+//! hop distances, shortest-path counts `sigma` and the visit order. Every
+//! shortest-path measure (here and in `explain::centrality`) is a sweep over
+//! that order; none keeps predecessor lists, because a neighbour `u` of a
+//! reached node `w` is a predecessor iff `dist[u] + 1 == dist[w]`
+//! ([`ShortestPaths::preds`]).
 //!
-//! Scores count ordered pairs: on a symmetric graph every unordered pair
-//! `{s, t}` contributes twice (once per direction), matching the convention
-//! of running Brandes over all sources of a directed graph.
+//! Betweenness counts ordered pairs: on a symmetric graph every unordered
+//! pair `{s, t}` contributes twice (once per direction), matching the
+//! convention of running Brandes over all sources of a directed graph.
 
-use crate::config::KernelConfig;
 use crate::flat::FlatCsr;
-use crate::par::map_chunks;
-use crate::queue::SlidingQueue;
 
-/// Sources per parallel work unit; fixed so the reduction order (and hence
-/// the bits of the result) never depends on the thread count.
-const SOURCE_CHUNK: usize = 16;
+/// `dist` of a node the pass did not reach.
+pub const UNREACHED: usize = usize::MAX;
 
-/// Betweenness of every node over all-pairs shortest paths (unweighted,
-/// ordered pairs, endpoints excluded).
-pub fn betweenness(g: &FlatCsr, cfg: &KernelConfig) -> Vec<f64> {
-    let n = g.n_nodes();
-    if n == 0 {
-        return Vec::new();
+/// Buffers of one single-source pass. Owned by the caller so a loop over
+/// sources reuses one allocation; each [`ShortestPaths::run`] overwrites
+/// them.
+#[derive(Debug, Clone, Default)]
+pub struct ShortestPaths {
+    dist: Vec<usize>,
+    sigma: Vec<f64>,
+    order: Vec<usize>,
+}
+
+impl ShortestPaths {
+    /// Hop distance from the source, [`UNREACHED`] if none.
+    pub fn dist(&self) -> &[usize] {
+        &self.dist
     }
 
-    let partials = map_chunks(n, SOURCE_CHUNK, cfg.threads(), |sources| {
-        let mut acc = vec![0.0f64; n];
-        let mut dist = vec![-1i64; n];
-        let mut sigma = vec![0.0f64; n];
-        let mut delta = vec![0.0f64; n];
-        let mut order = SlidingQueue::with_capacity(n);
-        for s in sources {
-            brandes_pass(
-                g, s, &mut acc, &mut dist, &mut sigma, &mut delta, &mut order,
-            );
-        }
-        acc
-    });
+    /// Number of shortest paths from the source (`0.0` if unreached).
+    pub fn sigma(&self) -> &[f64] {
+        &self.sigma
+    }
 
+    /// Reached nodes in visit order (non-decreasing `dist`), source first.
+    pub fn order(&self) -> &[usize] {
+        &self.order
+    }
+
+    /// BFS from node `s` of `g`. Neighbours are visited in CSR order, which
+    /// fixes the visit order and the order `sigma` sums in.
+    pub fn run(&mut self, g: &FlatCsr, s: usize) {
+        let n = g.n_nodes();
+        self.dist.clear();
+        self.dist.resize(n, UNREACHED);
+        self.sigma.clear();
+        self.sigma.resize(n, 0.0);
+        self.order.clear();
+        self.dist[s] = 0;
+        self.sigma[s] = 1.0;
+        self.order.push(s);
+        let mut head = 0;
+        while let Some(&v) = self.order.get(head) {
+            head += 1;
+            let next = self.dist[v] + 1;
+            for &w in g.neighbors(v) {
+                let w = w as usize;
+                if self.dist[w] == UNREACHED {
+                    self.dist[w] = next;
+                    self.order.push(w);
+                }
+                if self.dist[w] == next {
+                    self.sigma[w] += self.sigma[v];
+                }
+            }
+        }
+    }
+
+    /// The predecessors of a reached node `w` on shortest paths from the
+    /// source, in `w`'s CSR order. `g` is the graph the pass ran on.
+    pub fn preds<'a>(&'a self, g: &'a FlatCsr, w: usize) -> impl Iterator<Item = usize> + 'a {
+        // Every neighbour of a reached node is reached, so `dist[u] + 1`
+        // cannot overflow.
+        let dw = self.dist[w];
+        g.neighbors(w)
+            .iter()
+            .map(|&u| u as usize)
+            .filter(move |&u| self.dist[u] + 1 == dw)
+    }
+}
+
+/// Betweenness of every node over all-pairs shortest paths (unweighted,
+/// ordered pairs, endpoints excluded, unnormalised).
+pub fn betweenness(g: &FlatCsr) -> Vec<f64> {
+    let n = g.n_nodes();
     let mut bc = vec![0.0f64; n];
-    for acc in partials {
-        for (b, a) in bc.iter_mut().zip(acc) {
-            *b += a;
+    let mut delta = vec![0.0f64; n];
+    let mut sp = ShortestPaths::default();
+    for s in 0..n {
+        sp.run(g, s);
+        delta.fill(0.0);
+        let sigma = sp.sigma();
+        for &w in sp.order().iter().rev() {
+            for v in sp.preds(g, w) {
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w]);
+            }
+            if w != s {
+                bc[w] += delta[w];
+            }
         }
     }
     bc
-}
-
-/// One source's dependency accumulation into `acc`. Scratch buffers are
-/// caller-owned so a chunk reuses its allocations across sources.
-fn brandes_pass(
-    g: &FlatCsr,
-    s: usize,
-    acc: &mut [f64],
-    dist: &mut [i64],
-    sigma: &mut [f64],
-    delta: &mut [f64],
-    order: &mut SlidingQueue,
-) {
-    for d in dist.iter_mut() {
-        *d = -1;
-    }
-    for x in sigma.iter_mut() {
-        *x = 0.0;
-    }
-    for x in delta.iter_mut() {
-        *x = 0.0;
-    }
-    order.reset();
-
-    dist[s] = 0;
-    sigma[s] = 1.0;
-    order.push(s as u32);
-    order.slide_window();
-    while !order.window_is_empty() {
-        let (start, end) = (
-            order.total_pushed() - order.window_len(),
-            order.total_pushed(),
-        );
-        let mut i = start;
-        while i < end {
-            let u = order.history()[i] as usize;
-            let du = dist[u];
-            for &w in g.neighbors(u) {
-                let w = w as usize;
-                if dist[w] < 0 {
-                    dist[w] = du + 1;
-                    order.push(w as u32);
-                }
-                if dist[w] == du + 1 {
-                    sigma[w] += sigma[u];
-                }
-            }
-            i += 1;
-        }
-        order.slide_window();
-    }
-
-    // Reverse sweep over the visit order (history is sorted by distance).
-    for &wu in order.history().iter().rev() {
-        let w = wu as usize;
-        let coeff = (1.0 + delta[w]) / sigma[w];
-        for &u in g.neighbors(w) {
-            let u = u as usize;
-            if dist[u] == dist[w] - 1 {
-                delta[u] += sigma[u] * coeff;
-            }
-        }
-        if w != s {
-            acc[w] += delta[w];
-        }
-    }
 }
 
 #[cfg(test)]
@@ -123,12 +112,7 @@ mod tests {
     use super::*;
 
     fn sym(n: usize, edges: &[(usize, usize)]) -> FlatCsr {
-        let mut adj = vec![Vec::new(); n];
-        for &(a, b) in edges {
-            adj[a].push(b);
-            adj[b].push(a);
-        }
-        FlatCsr::from_adj(&adj).unwrap()
+        FlatCsr::from_edges(n, edges).unwrap()
     }
 
     #[test]
@@ -136,15 +120,14 @@ mod tests {
         // Path 0-1-2: the only shortest path between 0 and 2 runs through 1,
         // counted in both directions.
         let g = sym(3, &[(0, 1), (1, 2)]);
-        let bc = betweenness(&g, &KernelConfig::default());
-        assert_eq!(bc, vec![0.0, 2.0, 0.0]);
+        assert_eq!(betweenness(&g), vec![0.0, 2.0, 0.0]);
     }
 
     #[test]
     fn star_center_carries_every_leaf_pair() {
         // Star with 4 leaves: 4*3 ordered leaf pairs all route via the hub.
         let g = sym(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let bc = betweenness(&g, &KernelConfig::default());
+        let bc = betweenness(&g);
         assert_eq!(bc[0], 12.0);
         assert!(bc[1..].iter().all(|&x| x == 0.0));
     }
@@ -154,23 +137,19 @@ mod tests {
         // Cycle 0-1-2-3: opposite corners are linked by two equal paths, so
         // each intermediate node gets 1/2 per direction = 1.0 total.
         let g = sym(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let bc = betweenness(&g, &KernelConfig::default());
-        assert_eq!(bc, vec![1.0, 1.0, 1.0, 1.0]);
+        assert_eq!(betweenness(&g), vec![1.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]
-    fn thread_count_is_invisible_in_the_bits() {
-        let n = 200usize;
-        let mut edges = Vec::new();
-        for v in 1..n {
-            edges.push((v, v * 7 % v.max(1)));
-            if v + 1 < n {
-                edges.push((v, v + 1));
-            }
-        }
-        let g = sym(n, &edges);
-        let serial = betweenness(&g, &KernelConfig::default());
-        let threaded = betweenness(&g, &KernelConfig::builder().threads(5).build().unwrap());
-        assert_eq!(serial, threaded);
+    fn pass_records_distances_counts_and_order_on_a_split_graph() {
+        // Square 0-1-2-3 plus the isolated node 4.
+        let g = sym(5, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let mut sp = ShortestPaths::default();
+        sp.run(&g, 0);
+        assert_eq!(sp.dist(), &[0, 1, 2, 1, UNREACHED]);
+        assert_eq!(sp.sigma(), &[1.0, 1.0, 2.0, 1.0, 0.0]);
+        assert_eq!(sp.order(), &[0, 1, 3, 2]);
+        assert_eq!(sp.preds(&g, 2).collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(sp.preds(&g, 0).count(), 0);
     }
 }

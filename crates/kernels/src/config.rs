@@ -1,9 +1,9 @@
 //! Tuning knobs for the kernels, with a validating builder.
 //!
-//! Every kernel takes a [`KernelConfig`] by reference. Fields are private so
-//! an invalid combination can never reach a kernel: the only way to deviate
-//! from [`KernelConfig::default`] is through [`KernelConfig::builder`], whose
-//! `build` rejects bad values with a typed [`ConfigError`].
+//! Fields are private so an invalid combination can never reach a kernel:
+//! the only way to deviate from [`KernelConfig::default`] is through
+//! [`KernelConfig::builder`], whose `build` rejects bad values with a typed
+//! [`ConfigError`].
 
 use std::fmt;
 
@@ -11,23 +11,15 @@ use std::fmt;
 /// or [`KernelConfig::builder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelConfig {
-    threads: usize,
-    alpha: usize,
-    beta: usize,
     damping: f64,
     max_iters: usize,
     tolerance: f64,
 }
 
 impl Default for KernelConfig {
-    /// Serial execution with the GAP reference heuristics: `alpha = 15`,
-    /// `beta = 18`, damping `0.85`, up to 100 iterations, L1 tolerance
-    /// `1e-12`.
+    /// Damping `0.85`, up to 100 iterations, L1 tolerance `1e-12`.
     fn default() -> Self {
         KernelConfig {
-            threads: 1,
-            alpha: 15,
-            beta: 18,
             damping: 0.85,
             max_iters: 100,
             tolerance: 1e-12,
@@ -40,24 +32,6 @@ impl KernelConfig {
         KernelConfigBuilder {
             cfg: KernelConfig::default(),
         }
-    }
-
-    /// Worker threads used by the parallel phases (≥ 1; 1 = fully serial).
-    /// Results are bit-identical for every thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Direction-optimizing BFS: switch top-down → bottom-up when the
-    /// frontier's outgoing edge count exceeds `unexplored_edges / alpha`.
-    pub fn alpha(&self) -> usize {
-        self.alpha
-    }
-
-    /// Direction-optimizing BFS: switch bottom-up → top-down when the
-    /// frontier shrinks below `n_nodes / beta`.
-    pub fn beta(&self) -> usize {
-        self.beta
     }
 
     /// PageRank damping factor, strictly inside `(0, 1)`.
@@ -79,12 +53,6 @@ impl KernelConfig {
 /// Why a [`KernelConfigBuilder::build`] call was rejected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
-    /// `threads` must be at least 1.
-    ZeroThreads,
-    /// `alpha` must be at least 1 (it divides the unexplored edge count).
-    ZeroAlpha,
-    /// `beta` must be at least 1 (it divides the node count).
-    ZeroBeta,
     /// Damping must satisfy `0 < damping < 1`.
     DampingOutOfRange(f64),
     /// `max_iters` must be at least 1.
@@ -96,9 +64,6 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ZeroThreads => write!(f, "threads must be >= 1"),
-            ConfigError::ZeroAlpha => write!(f, "alpha must be >= 1"),
-            ConfigError::ZeroBeta => write!(f, "beta must be >= 1"),
             ConfigError::DampingOutOfRange(d) => {
                 write!(f, "damping must lie strictly in (0, 1), got {d}")
             }
@@ -119,21 +84,6 @@ pub struct KernelConfigBuilder {
 }
 
 impl KernelConfigBuilder {
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads;
-        self
-    }
-
-    pub fn alpha(mut self, alpha: usize) -> Self {
-        self.cfg.alpha = alpha;
-        self
-    }
-
-    pub fn beta(mut self, beta: usize) -> Self {
-        self.cfg.beta = beta;
-        self
-    }
-
     pub fn damping(mut self, damping: f64) -> Self {
         self.cfg.damping = damping;
         self
@@ -151,15 +101,6 @@ impl KernelConfigBuilder {
 
     pub fn build(self) -> Result<KernelConfig, ConfigError> {
         let c = &self.cfg;
-        if c.threads == 0 {
-            return Err(ConfigError::ZeroThreads);
-        }
-        if c.alpha == 0 {
-            return Err(ConfigError::ZeroAlpha);
-        }
-        if c.beta == 0 {
-            return Err(ConfigError::ZeroBeta);
-        }
         if !(c.damping > 0.0 && c.damping < 1.0) {
             return Err(ConfigError::DampingOutOfRange(c.damping));
         }
@@ -181,25 +122,13 @@ mod tests {
     fn default_is_buildable_and_matches_builder_noop() {
         let built = KernelConfig::builder().build().unwrap();
         assert_eq!(built, KernelConfig::default());
-        assert_eq!(built.threads(), 1);
-        assert_eq!(built.alpha(), 15);
-        assert_eq!(built.beta(), 18);
+        assert_eq!(built.damping(), 0.85);
+        assert_eq!(built.max_iters(), 100);
+        assert_eq!(built.tolerance(), 1e-12);
     }
 
     #[test]
     fn builder_rejects_each_invalid_field() {
-        assert_eq!(
-            KernelConfig::builder().threads(0).build(),
-            Err(ConfigError::ZeroThreads)
-        );
-        assert_eq!(
-            KernelConfig::builder().alpha(0).build(),
-            Err(ConfigError::ZeroAlpha)
-        );
-        assert_eq!(
-            KernelConfig::builder().beta(0).build(),
-            Err(ConfigError::ZeroBeta)
-        );
         assert_eq!(
             KernelConfig::builder().damping(1.0).build(),
             Err(ConfigError::DampingOutOfRange(1.0))
@@ -225,16 +154,13 @@ mod tests {
     #[test]
     fn builder_accepts_a_full_custom_config() {
         let c = KernelConfig::builder()
-            .threads(8)
-            .alpha(4)
-            .beta(24)
             .damping(0.9)
             .max_iters(50)
             .tolerance(1e-9)
             .build()
             .unwrap();
-        assert_eq!(c.threads(), 8);
         assert_eq!(c.damping(), 0.9);
         assert_eq!(c.max_iters(), 50);
+        assert_eq!(c.tolerance(), 1e-9);
     }
 }

@@ -1,53 +1,27 @@
-//! Typed kernel failures. Kernels never panic on bad input — out-of-range
-//! sources and oversized graphs come back as values.
+//! Typed kernel failures. Kernels never panic on bad input — oversized
+//! graphs and out-of-range endpoints come back as values.
 
 use std::fmt;
 
-use crate::config::ConfigError;
-
 #[derive(Debug, Clone, PartialEq)]
 pub enum KernelError {
-    /// An invalid configuration reached a kernel entry point.
-    Config(ConfigError),
-    /// A BFS/traversal source id is not a node of the graph.
-    SourceOutOfRange { source: usize, n_nodes: usize },
     /// The graph has more nodes than the 32-bit target arena can address.
     TooLarge { n_nodes: usize },
-    /// An adjacency list references a node id outside the graph.
+    /// An edge references a node id outside the graph.
     NodeOutOfRange { node: usize, n_nodes: usize },
 }
 
 impl fmt::Display for KernelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            KernelError::Config(e) => write!(f, "invalid kernel config: {e}"),
-            KernelError::SourceOutOfRange { source, n_nodes } => {
-                write!(f, "source {source} out of range for {n_nodes} nodes")
-            }
             KernelError::TooLarge { n_nodes } => {
                 write!(f, "graph with {n_nodes} nodes exceeds the u32 arena limit")
             }
             KernelError::NodeOutOfRange { node, n_nodes } => {
-                write!(
-                    f,
-                    "adjacency target {node} out of range for {n_nodes} nodes"
-                )
+                write!(f, "edge endpoint {node} out of range for {n_nodes} nodes")
             }
         }
     }
 }
 
-impl std::error::Error for KernelError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            KernelError::Config(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<ConfigError> for KernelError {
-    fn from(e: ConfigError) -> Self {
-        KernelError::Config(e)
-    }
-}
+impl std::error::Error for KernelError {}

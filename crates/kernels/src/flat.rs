@@ -10,8 +10,8 @@
 //!
 //! * [`FlatCsr::from_view`] snapshots any [`GraphView`] (a `HetGraph`, a
 //!   `DeltaGraph`, or a pinned `GraphSnapshot` from the scoring engine).
-//! * [`FlatCsr::from_adj`] converts the adjacency-list graphs the explainer
-//!   uses (communities and their line graphs).
+//! * [`FlatCsr::from_edges`] builds the undirected graphs the explainer
+//!   scores (communities and their line graphs) from an edge list.
 
 use xfraud_hetgraph::GraphView;
 
@@ -45,27 +45,37 @@ impl FlatCsr {
         Ok(FlatCsr { offsets, targets })
     }
 
-    /// Builds a CSR from explicit adjacency lists (the explainer's community
-    /// and line-graph representation). Every target must be `< adj.len()`.
-    pub fn from_adj(adj: &[Vec<usize>]) -> Result<FlatCsr, KernelError> {
-        let n = adj.len();
+    /// The undirected graph of `n` nodes joined by `edges`. Each `(u, v)`
+    /// appends `v` to `u`'s neighbours and `u` to `v`'s, in edge order, so a
+    /// node lists its neighbours in the order its edges were given. Every
+    /// endpoint must be `< n`.
+    pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Result<FlatCsr, KernelError> {
         if n > u32::MAX as usize {
             return Err(KernelError::TooLarge { n_nodes: n });
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut targets = Vec::with_capacity(adj.iter().map(Vec::len).sum());
-        for nbrs in adj {
-            for &w in nbrs {
-                if w >= n {
-                    return Err(KernelError::NodeOutOfRange {
-                        node: w,
-                        n_nodes: n,
-                    });
+        // Pass 1: degrees, shifted one slot right, then prefix-summed.
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in edges {
+            for node in [u, v] {
+                if node >= n {
+                    return Err(KernelError::NodeOutOfRange { node, n_nodes: n });
                 }
-                targets.push(w as u32);
+                offsets[node + 1] += 1;
             }
-            offsets.push(targets.len());
+        }
+        let mut total = 0;
+        for o in offsets.iter_mut() {
+            total += *o;
+            *o = total;
+        }
+        // Pass 2: fill each node's slice through a moving cursor.
+        let mut cursor = offsets[..n].to_vec();
+        let mut targets = vec![0u32; total];
+        for &(u, v) in edges {
+            targets[cursor[u]] = v as u32;
+            cursor[u] += 1;
+            targets[cursor[v]] = u as u32;
+            cursor[v] += 1;
         }
         Ok(FlatCsr { offsets, targets })
     }
@@ -95,22 +105,22 @@ mod tests {
     use xfraud_hetgraph::{GraphBuilder, NodeType};
 
     #[test]
-    fn from_adj_matches_input_lists() {
-        let adj = vec![vec![1, 2], vec![0], vec![0], vec![]];
-        let g = FlatCsr::from_adj(&adj).unwrap();
-        assert_eq!(g.n_nodes(), 4);
-        assert_eq!(g.n_edges(), 4);
-        assert_eq!(g.neighbors(0), &[1, 2]);
-        assert_eq!(g.neighbors(1), &[0]);
-        assert_eq!(g.neighbors(3), &[] as &[u32]);
+    fn from_edges_lists_neighbours_in_edge_order() {
+        let g = FlatCsr::from_edges(5, &[(2, 0), (0, 1), (1, 2), (3, 3)]).unwrap();
+        assert_eq!(g.n_nodes(), 5);
+        assert_eq!(g.n_edges(), 8);
+        assert_eq!(g.neighbors(0), &[2, 1]);
+        assert_eq!(g.neighbors(1), &[0, 2]);
+        assert_eq!(g.neighbors(2), &[0, 1]);
+        assert_eq!(g.neighbors(3), &[3, 3], "a self-loop lists its node twice");
+        assert_eq!(g.neighbors(4), &[] as &[u32]);
         assert_eq!(g.degree(0), 2);
     }
 
     #[test]
-    fn from_adj_rejects_out_of_range_targets() {
-        let adj = vec![vec![5]];
+    fn from_edges_rejects_out_of_range_endpoints() {
         assert_eq!(
-            FlatCsr::from_adj(&adj),
+            FlatCsr::from_edges(1, &[(0, 5)]),
             Err(KernelError::NodeOutOfRange {
                 node: 5,
                 n_nodes: 1

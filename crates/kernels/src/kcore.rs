@@ -67,12 +67,7 @@ mod tests {
     use super::*;
 
     fn sym(n: usize, edges: &[(usize, usize)]) -> FlatCsr {
-        let mut adj = vec![Vec::new(); n];
-        for &(a, b) in edges {
-            adj[a].push(b);
-            adj[b].push(a);
-        }
-        FlatCsr::from_adj(&adj).unwrap()
+        FlatCsr::from_edges(n, edges).unwrap()
     }
 
     #[test]

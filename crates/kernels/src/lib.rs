@@ -1,42 +1,34 @@
-//! Parallel GAP-style graph kernels over a flat CSR.
+//! Serial graph kernels over a flat CSR.
 //!
-//! The GAP benchmark suite's algorithm set — direction-optimizing BFS,
-//! pull-based PageRank, label-propagation connected components, k-core
-//! peeling and Brandes betweenness — implemented against [`FlatCsr`], a
-//! 32-bit target arena built either from any `hetgraph::GraphView` (live
-//! snapshots included) or from the explainer's adjacency-list communities.
+//! PageRank, k-core peeling and the shortest-path pass behind every
+//! centrality the explainer computes ([`ShortestPaths`], with Brandes
+//! [`betweenness`] on top), implemented against [`FlatCsr`], a 32-bit
+//! target arena built either from any `hetgraph::GraphView` (live snapshots
+//! included) or from an edge list (the explainer's communities and their
+//! line graphs).
 //!
 //! Two properties hold for every kernel:
 //!
-//! * **Determinism.** Results are bit-identical for every thread count.
-//!   Parallel sweeps run over *fixed* chunk geometry (independent of the
-//!   worker count) with disjoint writes, and floating-point reductions fold
-//!   chunk partials in chunk order. No clocks, no entropy, no hash-map
-//!   iteration anywhere in the crate.
-//! * **No panics on bad input.** Out-of-range sources, oversized graphs and
-//!   invalid configurations come back as [`KernelError`] / [`ConfigError`]
-//!   values.
+//! * **Determinism.** Every sum runs in a fixed order set by the CSR (node
+//!   order, then neighbour order). No threads, no clocks, no entropy, no
+//!   hash-map iteration anywhere in the crate.
+//! * **No panics on bad input.** Oversized graphs, out-of-range endpoints
+//!   and invalid configurations come back as [`KernelError`] /
+//!   [`ConfigError`] values.
 //!
 //! Configuration goes through [`KernelConfig::builder`] — a validating
 //! builder whose `build()` is the only path to a non-default config.
 
 mod bc;
-mod bfs;
-mod cc;
 mod config;
 mod error;
 mod flat;
 mod kcore;
-mod par;
 mod pr;
-mod queue;
 
-pub use bc::betweenness;
-pub use bfs::bfs;
-pub use cc::connected_components;
+pub use bc::{betweenness, ShortestPaths, UNREACHED};
 pub use config::{ConfigError, KernelConfig, KernelConfigBuilder};
 pub use error::KernelError;
 pub use flat::FlatCsr;
 pub use kcore::core_numbers;
 pub use pr::pagerank;
-pub use queue::SlidingQueue;

@@ -1,16 +1,17 @@
-//! Pull-based PageRank with chunk-deterministic parallel reduction.
+//! Pull-based PageRank.
 //!
 //! Each sweep pulls `rank[u] / deg(u)` from every in-neighbor (the graph is
-//! stored symmetrically, so out-adjacency doubles as in-adjacency). Pulling
-//! means every node's new rank is written by exactly one chunk — no atomics —
-//! and the per-node neighbor sum runs in CSR order, so the floating-point
-//! result is the same on any thread count. The residual (L1 delta) and the
-//! dangling mass are reduced chunk-partial first, then summed in chunk
-//! order, which keeps convergence decisions bit-identical too.
+//! stored symmetrically, so out-adjacency doubles as in-adjacency), summing
+//! in CSR order. The L1 residual that decides convergence is summed within
+//! fixed blocks of [`RESIDUAL_BLOCK`] nodes and then across blocks, so its
+//! rounding — and hence the sweep PageRank stops at — is a function of the
+//! graph alone.
 
 use crate::config::KernelConfig;
 use crate::flat::FlatCsr;
-use crate::par::{map_chunks, NODE_CHUNK};
+
+/// Nodes per partial sum of the L1 residual.
+const RESIDUAL_BLOCK: usize = 4096;
 
 /// PageRank scores (summing to ~1). Runs until the L1 residual drops to
 /// `cfg.tolerance()` or `cfg.max_iters()` sweeps, whichever first.
@@ -26,8 +27,7 @@ pub fn pagerank(g: &FlatCsr, cfg: &KernelConfig) -> Vec<f64> {
     let mut contrib = vec![0.0f64; n];
 
     for _ in 0..cfg.max_iters() {
-        // Serial O(n) prologue: per-node contribution and dangling mass in
-        // node order (deterministic regardless of threads).
+        // Per-node contribution and dangling mass, in node order.
         let mut dangling = 0.0f64;
         for v in 0..n {
             let deg = g.degree(v);
@@ -40,29 +40,20 @@ pub fn pagerank(g: &FlatCsr, cfg: &KernelConfig) -> Vec<f64> {
         }
         let base = (1.0 - d) * inv_n + d * dangling * inv_n;
 
-        // Parallel O(E) pull: chunk outputs carry the new ranks for their
-        // range plus the chunk's L1 residual.
-        let chunks = map_chunks(n, NODE_CHUNK, cfg.threads(), |r| {
-            let mut new_ranks = Vec::with_capacity(r.len());
-            let mut delta = 0.0f64;
-            for v in r {
+        // The pull reads only `contrib`, so ranks update in place.
+        let mut delta = 0.0f64;
+        for (b, block) in rank.chunks_mut(RESIDUAL_BLOCK).enumerate() {
+            let mut block_delta = 0.0f64;
+            for (i, r) in block.iter_mut().enumerate() {
                 let mut sum = 0.0f64;
-                for &u in g.neighbors(v) {
+                for &u in g.neighbors(b * RESIDUAL_BLOCK + i) {
                     sum += contrib[u as usize];
                 }
                 let nr = base + d * sum;
-                delta += (nr - rank[v]).abs();
-                new_ranks.push(nr);
+                block_delta += (nr - *r).abs();
+                *r = nr;
             }
-            (new_ranks, delta)
-        });
-
-        let mut delta = 0.0f64;
-        let mut at = 0usize;
-        for (new_ranks, chunk_delta) in chunks {
-            rank[at..at + new_ranks.len()].copy_from_slice(&new_ranks);
-            at += new_ranks.len();
-            delta += chunk_delta;
+            delta += block_delta;
         }
         if delta <= cfg.tolerance() {
             break;
@@ -77,8 +68,7 @@ mod tests {
 
     #[test]
     fn uniform_cycle_has_uniform_rank() {
-        let adj = vec![vec![1, 3], vec![0, 2], vec![1, 3], vec![2, 0]];
-        let g = FlatCsr::from_adj(&adj).unwrap();
+        let g = FlatCsr::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
         let r = pagerank(&g, &KernelConfig::default());
         for &x in &r {
             assert!(
@@ -90,33 +80,10 @@ mod tests {
 
     #[test]
     fn star_center_outranks_leaves_and_mass_is_conserved() {
-        let adj = vec![vec![1, 2, 3], vec![0], vec![0], vec![0]];
-        let g = FlatCsr::from_adj(&adj).unwrap();
+        let g = FlatCsr::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
         let r = pagerank(&g, &KernelConfig::default());
         assert!(r[0] > r[1] && r[1] == r[2] && r[2] == r[3]);
         let total: f64 = r.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "mass conserved, got {total}");
-    }
-
-    #[test]
-    fn thread_count_does_not_change_a_single_bit() {
-        // Irregular symmetric graph big enough to span multiple chunks.
-        let n = 10_000usize;
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for v in 0..n {
-            if v % 97 == 0 {
-                continue; // sprinkle isolated (dangling) nodes
-            }
-            for w in [(v * 7 + 1) % n, (v * 13 + 5) % n] {
-                if w % 97 != 0 && w != v {
-                    adj[v].push(w);
-                    adj[w].push(v);
-                }
-            }
-        }
-        let g = FlatCsr::from_adj(&adj).unwrap();
-        let serial = pagerank(&g, &KernelConfig::default());
-        let threaded = pagerank(&g, &KernelConfig::builder().threads(8).build().unwrap());
-        assert_eq!(serial, threaded, "pagerank must be thread-count invariant");
     }
 }

@@ -34,8 +34,9 @@ fn xlint_check_is_clean_against_the_committed_baseline() {
 /// The ratchet floor: PR 6 burned the grandfathered P1/L1 baseline down
 /// from 34 violations to 25, the soundness-rules PR burned it to 17
 /// (total constructors for gnn masks/targets, an infallible empty graph,
-/// `total_cmp` in the rule miner), and PR 21 to 15 (no `expect`/`unreachable!`
-/// left in the centrality explainer). The committed baseline may only shrink
+/// `total_cmp` in the rule miner), PR 21 to 15 (no `expect`/`unreachable!`
+/// left in the centrality explainer) and PR 22 to 11 (`total_cmp` pivoting
+/// and a shape-free square product in `explain::linalg`). The committed baseline may only shrink
 /// from here — regrowing it (grandfathering *new* panic sites or lock-
 /// discipline violations instead of fixing them) fails CI.
 #[test]
@@ -49,8 +50,8 @@ fn p1_l1_baseline_only_shrinks() {
         .map(|e| e.count)
         .sum();
     assert!(
-        grandfathered <= 15,
-        "P1/L1 baseline grew to {grandfathered} violations (ceiling 15) — fix new \
+        grandfathered <= 11,
+        "P1/L1 baseline grew to {grandfathered} violations (ceiling 11) — fix new \
          findings instead of grandfathering them, or lower this ceiling after a burn-down"
     );
 }
