@@ -1,7 +1,7 @@
 //! Table 1: top-k hit rate of every explainability source against the
 //! (simulated) human annotations, on all sampled communities — the 13
 //! centrality measures of the paper plus the two kernel-backed extras
-//! (GAP PageRank / k-core on the line graph), GNNExplainer weights, and
+//! (kernel PageRank / k-core on the line graph), GNNExplainer weights, and
 //! random weights.
 //!
 //! Published shape: all informative measures land close together (≈0.45 @

@@ -104,8 +104,8 @@ pub fn closeness(g: &FlatCsr) -> Vec<f64> {
         .map(|u| {
             sp.run(g, u);
             // The visit order is `u` followed by every node it reaches.
-            let reach = &sp.order()[1..];
-            let total: usize = reach.iter().map(|&v| sp.dist()[v]).sum();
+            let (reach, dist) = (&sp.order()[1..], sp.dist());
+            let total: usize = reach.iter().map(|&v| dist[v]).sum();
             if reach.is_empty() || total == 0 {
                 0.0
             } else {
@@ -384,7 +384,7 @@ pub fn current_flow_closeness(g: &FlatCsr) -> Vec<f64> {
         .collect()
 }
 
-/// PageRank of the line-graph nodes, computed by the GAP kernel
+/// PageRank of the line-graph nodes, computed by the pull-PageRank kernel
 /// (`xfraud_kernels::pagerank`). Not a Table-1 row — an additional feature
 /// source layered on the paper's thirteen.
 pub fn kernel_pagerank(g: &FlatCsr) -> Vec<f64> {
@@ -417,9 +417,9 @@ pub enum Measure {
     Harmonic,
     Load,
     Subgraph,
-    /// GAP-kernel PageRank on the line graph (extra feature source).
+    /// Kernel PageRank on the line graph (extra feature source).
     KernelPageRank,
-    /// GAP-kernel k-core numbers on the line graph (extra feature source).
+    /// Kernel k-core numbers on the line graph (extra feature source).
     KernelKCore,
 }
 
