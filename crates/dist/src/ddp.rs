@@ -93,9 +93,10 @@ impl<M: Model + Send + Sync> DdpTrainer<M> {
         // make_model is expected to be seeded, but DDP's initial broadcast
         // makes the invariant robust to caller mistakes.
         let mut models: Vec<M> = (0..cfg.n_workers).map(|_| make_model()).collect();
-        let (lead, rest) = models.split_first_mut().expect("n_workers > 0");
-        for m in rest {
-            m.store_mut().copy_values_from(lead.store());
+        if let Some((lead, rest)) = models.split_first_mut() {
+            for m in rest {
+                m.store_mut().copy_values_from(lead.store());
+            }
         }
 
         let mut workers = Vec::with_capacity(cfg.n_workers);
@@ -108,7 +109,7 @@ impl<M: Model + Send + Sync> DdpTrainer<M> {
             let train_local: Vec<NodeId> = nodes
                 .iter()
                 .filter(|&&v| is_train.contains(&v))
-                .map(|&v| map[v].expect("kept node"))
+                .filter_map(|&v| map[v])
                 .filter(|&l| sub.label(l).is_some())
                 .collect();
             workers.push(Worker {
@@ -189,10 +190,10 @@ impl<M: Model + Send + Sync> DdpTrainer<M> {
                         .collect();
                     handles
                         .into_iter()
-                        .map(|h| h.join().expect("worker panicked"))
+                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                         .collect()
                 })
-                .expect("scope");
+                .unwrap_or_else(|p| std::panic::resume_unwind(p));
 
                 // All-reduce: average gradients by parameter index.
                 let sets: Vec<Vec<(xfraud_nn::ParamId, Tensor)>> = results

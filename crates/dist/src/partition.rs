@@ -48,10 +48,11 @@ pub fn group_partitions(assignment: &[usize], k: usize) -> Vec<Vec<usize>> {
                 .filter(|&d| groups[d].len() > 1)
                 .max_by_key(|&d| fills[d])
             {
-                let moved = groups[donor].pop().expect("donor has >1 partitions");
-                fills[donor] -= sizes[moved];
-                fills[g] += sizes[moved];
-                groups[g].push(moved);
+                if let Some(moved) = groups[donor].pop() {
+                    fills[donor] -= sizes[moved];
+                    fills[g] += sizes[moved];
+                    groups[g].push(moved);
+                }
             }
         }
     }
@@ -88,9 +89,9 @@ pub fn group_partitions_ratio_aware(
     let mut group_frauds = vec![0usize; k];
     let mut group_nodes = vec![0usize; k];
     for &p in &order {
-        let g = (0..k)
-            .min_by_key(|&g| (group_frauds[g], group_nodes[g]))
-            .expect("k > 0");
+        let Some(g) = (0..k).min_by_key(|&g| (group_frauds[g], group_nodes[g])) else {
+            break; // unreachable: `k > 0` was asserted above
+        };
         groups[g].push(p);
         group_frauds[g] += frauds[p];
         group_nodes[g] += sizes[p];

@@ -190,9 +190,8 @@ mod tests {
         assert!(decode_event(&[TAG_ADD_ENTITY, 200]).is_err(), "bad type");
     }
 
-    /// Regression test for the `Reader::{u32,u64,f32}` panic sites
-    /// (`try_into().expect(…)`) the P2 reachability report surfaced:
-    /// every strict prefix of every variant's encoding must decode to
+    /// Regression test for the former `Reader::{u32,u64,f32}` panic sites
+    /// (`try_into().expect(…)`): every strict prefix of every variant's encoding must decode to
     /// `Err`, never panic — a torn WAL tail hands the decoder exactly
     /// these prefixes.
     #[test]

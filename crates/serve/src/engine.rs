@@ -1061,6 +1061,46 @@ mod tests {
         assert_eq!(bits(eng.score(&txns).unwrap()), before);
     }
 
+    /// A transaction streamed in with no `Link` is a zero-degree target: its
+    /// community is the node alone, so the forward pass runs on a 1-node,
+    /// 0-edge subgraph. It must still score finitely, equal the tape-free
+    /// forward on that community bit for bit, keep its bits across
+    /// compaction, and dedupe inside a request without disturbing its
+    /// neighbours' scores.
+    #[test]
+    fn zero_degree_streamed_txn_scores_its_one_node_community() {
+        let (detector, g, txns) = setup();
+        let eng = engine(&detector, &g).no_cache().build().unwrap();
+        let lone = eng
+            .apply_events(&[GraphEvent::AddTxn {
+                features: vec![0.1; g.feature_dim()],
+                label: None,
+            }])
+            .unwrap()[0];
+        let score = eng.score_txn(lone).unwrap();
+        assert!(score.is_finite());
+
+        let mut rng = serve_rng(9, eng.graph_version(), lone);
+        let community = CommunitySampler::new(400).sample(&eng.graph_snapshot(), &[lone], &mut rng);
+        assert_eq!((community.n_nodes(), community.n_edges()), (1, 0));
+        let reference = predict_scores(&detector, &community, &mut rng)[0];
+        assert_eq!(score.to_bits(), reference.to_bits());
+
+        eng.compact().unwrap();
+        assert_eq!(eng.score_txn(lone).unwrap().to_bits(), score.to_bits());
+
+        let normal = txns[0];
+        let alone = eng.score_txn(normal).unwrap().to_bits();
+        let mixed: Vec<u32> = eng
+            .score(&[lone, normal, lone, lone])
+            .unwrap()
+            .iter()
+            .map(|s| s.to_bits())
+            .collect();
+        let lone_bits = score.to_bits();
+        assert_eq!(mixed, [lone_bits, alone, lone_bits, lone_bits]);
+    }
+
     #[test]
     fn worker_crew_size_does_not_change_scores() {
         let (detector, g, txns) = setup();

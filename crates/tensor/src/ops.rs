@@ -41,17 +41,6 @@ pub(crate) fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
-pub(crate) fn ew_binary(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
-    debug_assert_eq!(a.shape(), b.shape(), "elementwise shape mismatch");
-    let data = a
-        .data()
-        .iter()
-        .zip(b.data())
-        .map(|(&x, &y)| f(x, y))
-        .collect();
-    Tensor::from_vec(a.rows(), a.cols(), data).expect("shape preserved")
-}
-
 pub(crate) fn segment_softmax_forward(a: &Tensor, seg: &[usize], n_segments: usize) -> Tensor {
     let cols = a.cols();
     let mut out = Tensor::zeros(a.rows(), cols);
@@ -100,17 +89,18 @@ pub fn softmax_rows(logits: &Tensor) -> Tensor {
     out
 }
 
-/// Propagates the gradient of node `i` into its inputs.
-pub(crate) fn backward_step(tape: &mut Tape, i: usize) {
-    let g = tape.nodes[i].grad.clone().expect("caller checked");
+/// Propagates `g`, the gradient of node `i`, into its inputs.
+pub(crate) fn backward_step(tape: &mut Tape, i: usize, g: Tensor) {
     // Ops are matched by moving small copies of their metadata out to keep the
     // borrow checker happy; input values are re-borrowed immutably per branch.
     match &tape.nodes[i].op {
         Op::Leaf => {}
         Op::MatMul(a, b) => {
             let (a, b) = (*a, *b);
-            let da = g.matmul_nt(&tape.nodes[b.0].value).expect("matmul bwd");
-            let db = tape.nodes[a.0].value.matmul_tn(&g).expect("matmul bwd");
+            // `Tape::matmul` required `a.cols == b.rows` and `g` has the
+            // product's shape, so both products are shape-correct.
+            let da = g.matmul_unchecked(&tape.nodes[b.0].value.transpose());
+            let db = tape.nodes[a.0].value.matmul_tn_unchecked(&g);
             tape.accumulate_grad(a, da);
             tape.accumulate_grad(b, db);
         }
@@ -137,8 +127,8 @@ pub(crate) fn backward_step(tape: &mut Tape, i: usize) {
         }
         Op::Mul(a, b) => {
             let (a, b) = (*a, *b);
-            let da = ew_binary(&g, &tape.nodes[b.0].value, |gg, y| gg * y);
-            let db = ew_binary(&g, &tape.nodes[a.0].value, |gg, x| gg * x);
+            let da = g.zip_map(&tape.nodes[b.0].value, |gg, y| gg * y);
+            let db = g.zip_map(&tape.nodes[a.0].value, |gg, x| gg * x);
             tape.accumulate_grad(a, da);
             tape.accumulate_grad(b, db);
         }
@@ -170,8 +160,7 @@ pub(crate) fn backward_step(tape: &mut Tape, i: usize) {
         }
         Op::Relu(a) => {
             let a = *a;
-            let da = ew_binary(
-                &g,
+            let da = g.zip_map(
                 &tape.nodes[a.0].value,
                 |gg, x| if x > 0.0 { gg } else { 0.0 },
             );
@@ -179,7 +168,7 @@ pub(crate) fn backward_step(tape: &mut Tape, i: usize) {
         }
         Op::LeakyRelu(a, slope) => {
             let (a, slope) = (*a, *slope);
-            let da = ew_binary(&g, &tape.nodes[a.0].value, |gg, x| {
+            let da = g.zip_map(&tape.nodes[a.0].value, |gg, x| {
                 if x > 0.0 {
                     gg
                 } else {
@@ -190,17 +179,17 @@ pub(crate) fn backward_step(tape: &mut Tape, i: usize) {
         }
         Op::Tanh(a) => {
             let a = *a;
-            let da = ew_binary(&g, &tape.nodes[i].value, |gg, y| gg * (1.0 - y * y));
+            let da = g.zip_map(&tape.nodes[i].value, |gg, y| gg * (1.0 - y * y));
             tape.accumulate_grad(a, da);
         }
         Op::Sigmoid(a) => {
             let a = *a;
-            let da = ew_binary(&g, &tape.nodes[i].value, |gg, y| gg * y * (1.0 - y));
+            let da = g.zip_map(&tape.nodes[i].value, |gg, y| gg * y * (1.0 - y));
             tape.accumulate_grad(a, da);
         }
         Op::LogEps(a, eps) => {
             let (a, eps) = (*a, *eps);
-            let da = ew_binary(&g, &tape.nodes[a.0].value, |gg, x| gg / (x + eps));
+            let da = g.zip_map(&tape.nodes[a.0].value, |gg, x| gg / (x + eps));
             tape.accumulate_grad(a, da);
         }
         Op::Dropout(a, mask) => {

@@ -84,7 +84,9 @@ impl Tape {
 
     /// Elementwise `a + b` (same shape).
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let out = ops::ew_binary(&self.nodes[a.0].value, &self.nodes[b.0].value, |x, y| x + y);
+        let out = self.nodes[a.0]
+            .value
+            .zip_map(&self.nodes[b.0].value, |x, y| x + y);
         self.push(out, Op::Add(a, b))
     }
 
@@ -105,13 +107,17 @@ impl Tape {
 
     /// Elementwise `a - b` (same shape).
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let out = ops::ew_binary(&self.nodes[a.0].value, &self.nodes[b.0].value, |x, y| x - y);
+        let out = self.nodes[a.0]
+            .value
+            .zip_map(&self.nodes[b.0].value, |x, y| x - y);
         self.push(out, Op::Sub(a, b))
     }
 
     /// Elementwise `a * b` (same shape).
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let out = ops::ew_binary(&self.nodes[a.0].value, &self.nodes[b.0].value, |x, y| x * y);
+        let out = self.nodes[a.0]
+            .value
+            .zip_map(&self.nodes[b.0].value, |x, y| x * y);
         self.push(out, Op::Mul(a, b))
     }
 
@@ -313,18 +319,16 @@ impl Tape {
         }
         self.nodes[seed.0].grad = Some(Tensor::scalar(1.0));
         for i in (0..self.nodes.len()).rev() {
-            if self.nodes[i].grad.is_none() {
+            let Some(g) = self.nodes[i].grad.clone() else {
                 continue;
-            }
-            ops::backward_step(self, i);
+            };
+            ops::backward_step(self, i, g);
         }
     }
 
     pub(crate) fn accumulate_grad(&mut self, v: Var, delta: Tensor) {
         match &mut self.nodes[v.0].grad {
-            Some(g) => {
-                g.add_assign(&delta).expect("gradient shape mismatch");
-            }
+            Some(g) => g.add_assign_unchecked(&delta),
             slot @ None => *slot = Some(delta),
         }
     }

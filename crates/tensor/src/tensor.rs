@@ -192,6 +192,12 @@ impl Tensor {
                 rhs: rhs.shape(),
             });
         }
+        Ok(self.matmul_tn_unchecked(rhs))
+    }
+
+    /// `self^T @ rhs` for shapes the caller has already checked.
+    pub(crate) fn matmul_tn_unchecked(&self, rhs: &Tensor) -> Tensor {
+        debug_assert_eq!(self.rows, rhs.rows);
         let mut out = Tensor::zeros(self.cols, rhs.cols);
         // out[i][j] = sum_k self[k][i] * rhs[k][j]
         for k in 0..self.rows {
@@ -207,7 +213,7 @@ impl Tensor {
                 }
             }
         }
-        Ok(out)
+        out
     }
 
     /// `self @ rhs^T` without materialising the transpose.
@@ -245,10 +251,17 @@ impl Tensor {
                 rhs: rhs.shape(),
             });
         }
+        self.add_assign_unchecked(rhs);
+        Ok(())
+    }
+
+    /// Elementwise in-place addition for shapes the caller has already
+    /// checked.
+    pub(crate) fn add_assign_unchecked(&mut self, rhs: &Tensor) {
+        debug_assert_eq!(self.shape(), rhs.shape(), "add_assign shape mismatch");
         for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
             *a += b;
         }
-        Ok(())
     }
 
     /// In-place scaling by a scalar.
@@ -264,6 +277,21 @@ impl Tensor {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
+        }
+    }
+
+    /// Elementwise `f(self, rhs)` into a new tensor; shapes must match.
+    pub(crate) fn zip_map(&self, rhs: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+        debug_assert_eq!(self.shape(), rhs.shape(), "elementwise shape mismatch");
+        Tensor {
+            rows: self.rows,
+            cols: self.cols,
+            data: self
+                .data
+                .iter()
+                .zip(&rhs.data)
+                .map(|(&x, &y)| f(x, y))
+                .collect(),
         }
     }
 

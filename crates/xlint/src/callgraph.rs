@@ -1,6 +1,6 @@
 //! The workspace call graph: every parsed `fn` item as a node, resolved
 //! call edges between them, and the reachability queries the
-//! interprocedural rules (L2/P2/D3) ask.
+//! interprocedural rules (L2/D3/F1) ask.
 //!
 //! ## Resolution model (and its approximations)
 //!

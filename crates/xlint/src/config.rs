@@ -1,20 +1,14 @@
-//! `xlint.toml` — per-crate rule scoping plus the grandfathered-violation
-//! baseline, in one committed file.
+//! `xlint.toml` — per-crate rule scoping, in one committed file.
 //!
 //! The build environment has no registry access, so instead of `toml` +
 //! `serde` this module reads the small TOML subset the config actually
-//! uses: `[rules.<id>]` tables with string/bool/array values, and
-//! `[[baseline]]` array-of-tables entries. `--update-baseline` rewrites
-//! everything below the generated-baseline marker and leaves the
-//! hand-written scoping untouched.
+//! uses: `[rules.<id>]` tables with string/bool/array values. Anything else
+//! — including a `[[baseline]]` table from a config written for an older
+//! xlint — is a line-numbered [`ConfigError`].
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
-
-/// Marker separating hand-written scoping from the generated baseline.
-pub const BASELINE_MARKER: &str =
-    "# === baseline (generated by `cargo run -p xlint -- --update-baseline`; do not edit) ===";
 
 /// Which files one rule applies to.
 #[derive(Debug, Clone, Default)]
@@ -24,38 +18,12 @@ pub struct RuleScope {
     /// Skip `src/bin/**` (CLI binaries may read env/clock and panic on
     /// usage errors).
     pub skip_bins: bool,
-    /// P1 only: crates where slice indexing is also flagged.
-    pub indexing_crates: Vec<String>,
-}
-
-/// One grandfathered count: `--check` fails only when a `(rule, file)`
-/// pair exceeds its baseline count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaselineEntry {
-    pub rule: String,
-    pub file: String,
-    pub count: usize,
-}
-
-impl Ord for BaselineEntry {
-    /// File-major ordering, so `--update-baseline` groups a file's entries
-    /// together and regeneration never reorders untouched files.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (&self.file, &self.rule, self.count).cmp(&(&other.file, &other.rule, other.count))
-    }
-}
-
-impl PartialOrd for BaselineEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 #[derive(Debug, Default)]
 pub struct Config {
     /// Rule id (lower case) → scope.
     pub rules: BTreeMap<String, RuleScope>,
-    pub baseline: Vec<BaselineEntry>,
 }
 
 #[derive(Debug)]
@@ -79,39 +47,21 @@ impl Config {
     }
 
     pub fn parse(text: &str) -> Result<Config, ConfigError> {
-        enum Section {
-            None,
-            Rule(String),
-            Baseline,
-        }
         let mut cfg = Config::default();
-        let mut section = Section::None;
+        let mut section: Option<String> = None;
         let mut lines = text.lines().enumerate().peekable();
         while let Some((n, raw)) = lines.next() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            if let Some(rest) = line.strip_prefix("[[") {
-                let name = rest.trim_end_matches("]]").trim();
-                if name != "baseline" {
-                    return Err(err(n, format!("unknown array-of-tables `[[{name}]]`")));
-                }
-                cfg.baseline.push(BaselineEntry {
-                    rule: String::new(),
-                    file: String::new(),
-                    count: 0,
-                });
-                section = Section::Baseline;
-                continue;
-            }
             if let Some(rest) = line.strip_prefix('[') {
                 let name = rest.trim_end_matches(']').trim();
                 let Some(rule) = name.strip_prefix("rules.") else {
-                    return Err(err(n, format!("unknown section `[{name}]`")));
+                    return Err(err(n, format!("unknown section `{line}`")));
                 };
                 cfg.rules.insert(rule.to_string(), RuleScope::default());
-                section = Section::Rule(rule.to_string());
+                section = Some(rule.to_string());
                 continue;
             }
             let Some((key, mut value)) = line.split_once('=') else {
@@ -132,64 +82,16 @@ impl Config {
                 value = &value_buf;
             }
             let value = strip_comment(value.trim());
-            match &mut section {
-                Section::None => return Err(err(n, "key outside any section".into())),
-                Section::Rule(rule) => {
-                    let scope = cfg.rules.get_mut(rule).expect("section was inserted");
-                    match key {
-                        "crates" => scope.crates = parse_array(value, n)?,
-                        "indexing_crates" => scope.indexing_crates = parse_array(value, n)?,
-                        "skip_bins" => scope.skip_bins = parse_bool(value, n)?,
-                        _ => return Err(err(n, format!("unknown rule key `{key}`"))),
-                    }
-                }
-                Section::Baseline => {
-                    let entry = cfg.baseline.last_mut().expect("entry was pushed");
-                    match key {
-                        "rule" => entry.rule = parse_string(value, n)?,
-                        "file" => entry.file = parse_string(value, n)?,
-                        "count" => {
-                            entry.count = value
-                                .parse()
-                                .map_err(|_| err(n, format!("bad count `{value}`")))?
-                        }
-                        _ => return Err(err(n, format!("unknown baseline key `{key}`"))),
-                    }
-                }
+            let Some(scope) = section.as_ref().and_then(|r| cfg.rules.get_mut(r)) else {
+                return Err(err(n, "key outside any section".into()));
+            };
+            match key {
+                "crates" => scope.crates = parse_array(value, n)?,
+                "skip_bins" => scope.skip_bins = parse_bool(value, n)?,
+                _ => return Err(err(n, format!("unknown rule key `{key}`"))),
             }
         }
         Ok(cfg)
-    }
-
-    /// Baseline count for a `(rule, file)` pair (0 when absent).
-    pub fn baseline_count(&self, rule: &str, file: &str) -> usize {
-        self.baseline
-            .iter()
-            .find(|e| e.rule.eq_ignore_ascii_case(rule) && e.file == file)
-            .map_or(0, |e| e.count)
-    }
-
-    /// Serializes `entries` and splices them below the baseline marker of
-    /// the existing config text.
-    pub fn render_with_baseline(existing: &str, entries: &[BaselineEntry]) -> String {
-        let head = match existing.find(BASELINE_MARKER) {
-            Some(at) => existing[..at].trim_end(),
-            None => existing.trim_end(),
-        };
-        let mut out = String::with_capacity(head.len() + entries.len() * 64);
-        out.push_str(head);
-        out.push_str("\n\n");
-        out.push_str(BASELINE_MARKER);
-        out.push('\n');
-        let mut sorted = entries.to_vec();
-        sorted.sort();
-        for e in &sorted {
-            out.push_str(&format!(
-                "\n[[baseline]]\nrule = \"{}\"\nfile = \"{}\"\ncount = {}\n",
-                e.rule, e.file, e.count
-            ));
-        }
-        out
     }
 }
 
@@ -263,42 +165,23 @@ crates = [
     "ingest",
 ]
 skip_bins = true
-indexing_crates = []
-
-# === baseline (generated by `cargo run -p xlint -- --update-baseline`; do not edit) ===
-
-[[baseline]]
-rule = "P1"
-file = "crates/serve/src/engine.rs"
-count = 2
 "#;
 
     #[test]
     fn parses_scoping_and_baseline() {
         let cfg = Config::parse(SAMPLE).unwrap();
         assert_eq!(cfg.rules["d1"].crates, ["hetgraph", "gnn"]);
+        assert!(!cfg.rules["d1"].skip_bins);
         assert_eq!(cfg.rules["p1"].crates, ["serve", "ingest"]);
         assert!(cfg.rules["p1"].skip_bins);
-        assert!(cfg.rules["p1"].indexing_crates.is_empty());
-        assert_eq!(cfg.baseline_count("P1", "crates/serve/src/engine.rs"), 2);
-        assert_eq!(cfg.baseline_count("D1", "crates/serve/src/engine.rs"), 0);
     }
 
     #[test]
-    fn render_replaces_the_generated_tail_only() {
-        let entries = vec![BaselineEntry {
-            rule: "D2".into(),
-            file: "crates/gnn/src/train.rs".into(),
-            count: 1,
-        }];
-        let rendered = Config::render_with_baseline(SAMPLE, &entries);
-        assert!(rendered.contains("# scoping"), "hand-written head survives");
-        assert!(rendered.contains("crates/gnn/src/train.rs"));
-        assert!(!rendered.contains("engine.rs"), "old baseline replaced");
-        // Round-trips through the parser.
-        let cfg = Config::parse(&rendered).unwrap();
-        assert_eq!(cfg.baseline.len(), 1);
-        assert_eq!(cfg.baseline_count("D2", "crates/gnn/src/train.rs"), 1);
+    fn a_stale_baseline_table_is_rejected_with_its_line() {
+        let text = "[rules.p1]\ncrates = [\"dist\"]\n\n[[baseline]]\nrule = \"P1\"\n";
+        let e = Config::parse(text).unwrap_err();
+        assert_eq!(e.line, 4, "{e}");
+        assert!(e.message.contains("[[baseline]]"), "{e}");
     }
 
     #[test]

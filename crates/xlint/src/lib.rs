@@ -4,19 +4,14 @@
 //! scores for any worker count, serving equivalence under any
 //! concurrency/batching, WAL-replay bit-identity. Those invariants are
 //! enforced by tests, which only catch regressions the generators happen to
-//! hit. `xlint` makes the underlying coding rules mechanical:
+//! hit. `xlint` makes the underlying coding rules mechanical — per-file
+//! rules (D1/D2/P1/L1/U1/A1/A2/E1) and interprocedural ones over the
+//! workspace call and lock graphs (L2/D3/F1/U2); [`rules`] lists what each
+//! one encodes.
 //!
-//! * **D1** — no hash-collection iteration in determinism-critical crates;
-//! * **D2** — no ambient nondeterminism (entropy RNGs, clocks, env);
-//! * **P1** — no panicking escape hatches in library code;
-//! * **L1** — lock discipline (no poison unwraps, no guard held across a
-//!   workspace-crate call).
-//!
-//! Each finding is either fixed, suppressed inline with
-//! `// xlint: allow(<rule>, reason = "…")` (collected into an audit table),
-//! or grandfathered in the `[[baseline]]` section of `xlint.toml` — `--check`
-//! fails only on *new* violations, so the baseline can be burned down
-//! without blocking CI.
+//! Each finding is either fixed or suppressed inline with
+//! `// xlint: allow(<rule>, reason = "…")` (collected into an audit table).
+//! Nothing is grandfathered: `--check` fails on any live violation.
 //!
 //! There is no `syn` in the offline build image, so the tool lexes Rust
 //! itself ([`lexer`]) — string/comment-accurate tokens with line numbers and
@@ -35,12 +30,12 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use callgraph::CallGraph;
-use config::{BaselineEntry, Config, RuleScope};
+use config::Config;
 use lockgraph::LockGraph;
 use parser::parse_file;
 use rules::{
     check_a1, check_a2, check_d1, check_d2, check_d3, check_e1, check_f1, check_l1, check_l2,
-    check_p1, check_p2, check_u1, check_u2, BurndownEntry, InterprocScope, P1Options, Violation,
+    check_p1, check_u1, check_u2, InterprocScope, Violation,
 };
 use source::SourceFile;
 
@@ -52,52 +47,16 @@ pub struct Suppressed {
     pub reason: Option<String>,
 }
 
-/// `(rule, file)` pairs whose violation count moved against the baseline.
-#[derive(Debug, Clone)]
-pub struct BaselineDelta {
-    pub rule: String,
-    pub file: String,
-    pub baseline: usize,
-    pub actual: usize,
-    /// The file's live violations for this rule (reported when new ones
-    /// appeared).
-    pub violations: Vec<Violation>,
-}
-
 /// Everything one lint run produced.
 #[derive(Debug, Default)]
 pub struct LintReport {
-    /// Live (un-suppressed) violations, every scoped file.
+    /// Live (un-suppressed) violations, every scoped file — a non-empty
+    /// list fails `--check`.
     pub violations: Vec<Violation>,
     /// Allow-suppressed findings, for the audit table.
     pub suppressed: Vec<Suppressed>,
-    /// Pairs exceeding their baseline — a non-empty list fails `--check`.
-    pub regressions: Vec<BaselineDelta>,
-    /// Pairs now *below* their baseline — candidates for `--update-baseline`.
-    pub improvements: Vec<BaselineDelta>,
     /// Files scanned.
     pub files_scanned: usize,
-    /// P2 burn-down priorities (live P1 sites ranked by how many in-scope
-    /// `pub` APIs can reach them). Populated when `[rules.p2]` is scoped.
-    pub burndown: Vec<BurndownEntry>,
-}
-
-impl LintReport {
-    /// The baseline that would make the current tree exactly clean,
-    /// file-major sorted (matches [`BaselineEntry`]'s `Ord`) so repeated
-    /// regeneration is byte-identical.
-    pub fn fresh_baseline(&self) -> Vec<BaselineEntry> {
-        let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
-        for v in &self.violations {
-            *counts
-                .entry((v.file.clone(), v.rule.to_string()))
-                .or_default() += 1;
-        }
-        counts
-            .into_iter()
-            .map(|((file, rule), count)| BaselineEntry { rule, file, count })
-            .collect()
-    }
 }
 
 /// Runs every configured rule over the workspace at `root`.
@@ -109,18 +68,7 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<LintReport> 
     for rule_id in cfg.rules.keys() {
         if !matches!(
             rule_id.as_str(),
-            "d1" | "d2"
-                | "p1"
-                | "l1"
-                | "l2"
-                | "p2"
-                | "d3"
-                | "u1"
-                | "u2"
-                | "a1"
-                | "a2"
-                | "f1"
-                | "e1"
+            "d1" | "d2" | "p1" | "l1" | "l2" | "d3" | "u1" | "u2" | "a1" | "a2" | "f1" | "e1"
         ) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -129,7 +77,7 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<LintReport> 
         }
     }
     for (rule_id, scope) in &cfg.rules {
-        if matches!(rule_id.as_str(), "l2" | "p2" | "d3" | "f1" | "u2") {
+        if matches!(rule_id.as_str(), "l2" | "d3" | "f1" | "u2") {
             continue; // interprocedural — dispatched over the workspace model below
         }
         for krate in &scope.crates {
@@ -148,7 +96,7 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<LintReport> 
                     cache.insert(rel.clone(), SourceFile::parse(root, &rel)?);
                 }
                 let sf = &cache[&rel];
-                let raw = run_rule(rule_id, scope, krate, sf);
+                let raw = run_rule(rule_id, sf);
                 for v in raw {
                     match sf.allowed(v.rule, v.line) {
                         Some(allow) => report.suppressed.push(Suppressed {
@@ -162,22 +110,16 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<LintReport> 
         }
     }
     // Interprocedural phase: build the workspace model once (every crate,
-    // including out-of-scope ones — taint sources and panic sites in
-    // `metrics`/`bench` still matter to callers in scoped crates), then
-    // dispatch L2/P2/D3 over it.
+    // including out-of-scope ones — taint sources in `metrics`/`bench`
+    // still matter to callers in scoped crates), then dispatch L2/D3/F1/U2
+    // over it.
     let interproc: Vec<&String> = cfg
         .rules
         .keys()
-        .filter(|r| matches!(r.as_str(), "l2" | "p2" | "d3" | "f1" | "u2"))
+        .filter(|r| matches!(r.as_str(), "l2" | "d3" | "f1" | "u2"))
         .collect();
     if !interproc.is_empty() {
         let model = build_model(root, &mut cache)?;
-        let p1_live: Vec<Violation> = report
-            .violations
-            .iter()
-            .filter(|v| v.rule == "P1")
-            .cloned()
-            .collect();
         for rule_id in interproc {
             let scope = &cfg.rules[rule_id];
             let iscope = InterprocScope {
@@ -186,10 +128,6 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<LintReport> 
             };
             let raw = match rule_id.as_str() {
                 "l2" => check_l2(&model.graph, &model.locks, &iscope),
-                "p2" => {
-                    report.burndown = rules::burndown(&model.graph, &p1_live, &iscope);
-                    check_p2(&model.graph, &p1_live, &iscope)
-                }
                 "d3" => check_d3(&model.graph, &model.sources, &iscope),
                 "f1" => check_f1(&model.graph, &iscope),
                 "u2" => check_u2(root, &iscope)?,
@@ -211,46 +149,6 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<LintReport> 
         }
     }
     report.files_scanned = cache.len();
-
-    // Ratchet against the baseline.
-    let actual = report.fresh_baseline();
-    let mut seen: Vec<(String, String)> = Vec::new();
-    for entry in &actual {
-        seen.push((entry.rule.clone(), entry.file.clone()));
-        let base = cfg.baseline_count(&entry.rule, &entry.file);
-        if entry.count == base {
-            continue;
-        }
-        let delta = BaselineDelta {
-            rule: entry.rule.clone(),
-            file: entry.file.clone(),
-            baseline: base,
-            actual: entry.count,
-            violations: report
-                .violations
-                .iter()
-                .filter(|v| v.rule == entry.rule && v.file == entry.file)
-                .cloned()
-                .collect(),
-        };
-        if entry.count > base {
-            report.regressions.push(delta);
-        } else {
-            report.improvements.push(delta);
-        }
-    }
-    // Baseline entries whose violations vanished entirely.
-    for e in &cfg.baseline {
-        if e.count > 0 && !seen.contains(&(e.rule.clone(), e.file.clone())) {
-            report.improvements.push(BaselineDelta {
-                rule: e.rule.clone(),
-                file: e.file.clone(),
-                baseline: e.count,
-                actual: 0,
-                violations: Vec::new(),
-            });
-        }
-    }
     Ok(report)
 }
 
@@ -336,16 +234,11 @@ pub fn build_graphs(root: &Path) -> std::io::Result<(CallGraph, LockGraph)> {
     Ok((model.graph, model.locks))
 }
 
-fn run_rule(rule_id: &str, scope: &RuleScope, krate: &str, sf: &SourceFile) -> Vec<Violation> {
+fn run_rule(rule_id: &str, sf: &SourceFile) -> Vec<Violation> {
     match rule_id {
         "d1" => check_d1(sf),
         "d2" => check_d2(sf),
-        "p1" => check_p1(
-            sf,
-            P1Options {
-                indexing: scope.indexing_crates.iter().any(|c| c == krate),
-            },
-        ),
+        "p1" => check_p1(sf),
         "l1" => check_l1(sf),
         "u1" => check_u1(sf),
         "a1" => check_a1(sf),

@@ -1,10 +1,10 @@
-//! CLI driver: `cargo run -p xlint -- [--check|--update-baseline|--audit]`.
+//! CLI driver: `cargo run -p xlint -- [--check|--graph <call|lock|unsafe>]`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use xlint::config::Config;
-use xlint::{build_graphs, find_root, lint_workspace, LintReport};
+use xlint::{build_graphs, find_root, lint_workspace};
 
 const USAGE: &str = "\
 xlint — workspace lint pass for determinism, panic-safety and lock discipline
@@ -13,22 +13,15 @@ USAGE:
     cargo run -p xlint -- [OPTIONS]
 
 OPTIONS:
-    --check              Fail (exit 1) on violations exceeding the baseline
-                         in xlint.toml. This is the CI entry point. (Default
-                         behaviour when no mode is given.)
-    --update-baseline    Rewrite the [[baseline]] section of xlint.toml to
-                         match the current tree.
-    --audit              Print the table of inline `xlint: allow(...)`
-                         suppressions with their reasons, and the P2
-                         burn-down table (panic sites ranked by how many
-                         pub APIs can reach them).
+    --check              Print the table of inline `xlint: allow(...)`
+                         suppressions with their reasons, then fail (exit 1)
+                         on any live violation. This is the CI entry point.
+                         (Default behaviour when no mode is given.)
     --graph <call|lock|unsafe>
                          Print the whole-workspace call or lock graph as
                          Graphviz DOT — or, for `unsafe`, the unsafe-audit
                          markdown (redirect to docs/unsafe_audit.md) — on
                          stdout and exit.
-    --format <fmt>       Output format for --check: `text` (default) or
-                         `json` (machine-readable, one object on stdout).
     --root <PATH>        Workspace root (default: nearest ancestor with an
                          xlint.toml).
     --help               This text.
@@ -37,23 +30,13 @@ OPTIONS:
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut root: Option<PathBuf> = None;
-    let mut update_baseline = false;
-    let mut audit_only = false;
     let mut graph: Option<String> = None;
-    let mut json = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--check" => {}
-            "--update-baseline" => update_baseline = true,
-            "--audit" => audit_only = true,
             "--graph" => match args.next() {
                 Some(g) if g == "call" || g == "lock" || g == "unsafe" => graph = Some(g),
                 _ => return usage_error("--graph needs `call`, `lock` or `unsafe`"),
-            },
-            "--format" => match args.next().as_deref() {
-                Some("text") => {}
-                Some("json") => json = true,
-                _ => return usage_error("--format needs `text` or `json`"),
             },
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
@@ -98,8 +81,7 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    let cfg_path = root.join("xlint.toml");
-    let cfg = match Config::load(&cfg_path) {
+    let cfg = match Config::load(&root.join("xlint.toml")) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("xlint: {e}");
@@ -114,78 +96,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if audit_only {
-        print_audit(&report);
-        return ExitCode::SUCCESS;
-    }
-
-    if update_baseline {
-        let existing = match std::fs::read_to_string(&cfg_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("xlint: reading {}: {e}", cfg_path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let rendered = Config::render_with_baseline(&existing, &report.fresh_baseline());
-        if let Err(e) = std::fs::write(&cfg_path, rendered) {
-            eprintln!("xlint: writing {}: {e}", cfg_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "xlint: baseline updated — {} grandfathered violation(s) across {} (rule, file) pair(s)",
-            report.violations.len(),
-            report.fresh_baseline().len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // --check (and default): report against the baseline.
-    if json {
-        print!("{}", render_json(&report));
-        return if report.regressions.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    print_audit(&report);
-    for imp in &report.improvements {
-        println!(
-            "xlint: baseline stale (improved): {} {} {} -> {} — run --update-baseline to burn it down",
-            imp.rule, imp.file, imp.baseline, imp.actual
-        );
-    }
-    if report.regressions.is_empty() {
-        println!(
-            "xlint: clean — {} file(s), {} grandfathered violation(s) in baseline, {} inline allow(s)",
-            report.files_scanned,
-            report.violations.len(),
-            report.suppressed.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        let mut n_new = 0usize;
-        for reg in &report.regressions {
-            eprintln!(
-                "xlint: {}: {} violation(s) vs {} in baseline ({})",
-                reg.rule, reg.actual, reg.baseline, reg.file
-            );
-            for v in &reg.violations {
-                eprintln!("  {}:{}: [{}] {}", v.file, v.line, v.rule, v.message);
-            }
-            n_new += reg.actual - reg.baseline;
-        }
-        eprintln!(
-            "xlint: FAILED — {n_new} new violation(s) above the baseline; fix them, add a \
-             justified `// xlint: allow(<rule>, reason = \"…\")`, or (for deliberate \
-             grandfathering) run --update-baseline"
-        );
-        ExitCode::FAILURE
-    }
-}
-
-fn print_audit(report: &LintReport) {
     if !report.suppressed.is_empty() {
         println!("xlint: inline suppressions (audit):");
         println!("  {:<4} {:<52} reason", "rule", "location");
@@ -199,89 +109,23 @@ fn print_audit(report: &LintReport) {
             );
         }
     }
-    if !report.burndown.is_empty() {
-        println!("xlint: P1 burn-down priorities (pub APIs that can reach each panic site):");
-        println!("  {:<7} {:<44} in fn", "pub-fan", "site");
-        for b in &report.burndown {
-            let loc = format!("{}:{}", b.file, b.line);
-            println!("  {:<7} {:<44} {}", b.pub_apis, loc, b.fn_label);
-        }
+    if report.violations.is_empty() {
+        println!(
+            "xlint: clean — {} file(s), {} inline allow(s)",
+            report.files_scanned,
+            report.suppressed.len()
+        );
+        return ExitCode::SUCCESS;
     }
-}
-
-/// Minimal JSON escaping — control chars, quotes and backslashes.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+    for v in &report.violations {
+        eprintln!("  {}:{}: [{}] {}", v.file, v.line, v.rule, v.message);
     }
-    out.push('"');
-    out
-}
-
-/// Machine-readable `--check` output: overall status, every regression's
-/// violations (the actionable set), and the stale-baseline list.
-fn render_json(report: &LintReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"status\": {},\n",
-        json_str(if report.regressions.is_empty() {
-            "clean"
-        } else {
-            "failed"
-        })
-    ));
-    out.push_str(&format!(
-        "  \"files_scanned\": {},\n  \"grandfathered\": {},\n  \"suppressed\": {},\n",
-        report.files_scanned,
-        report.violations.len(),
-        report.suppressed.len()
-    ));
-    out.push_str("  \"new_violations\": [");
-    let mut first = true;
-    for reg in &report.regressions {
-        for v in &reg.violations {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
-                json_str(v.rule),
-                json_str(&v.file),
-                v.line,
-                json_str(&v.message)
-            ));
-        }
-    }
-    out.push_str(if first { "],\n" } else { "\n  ],\n" });
-    out.push_str("  \"stale_baseline\": [");
-    first = true;
-    for imp in &report.improvements {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\n    {{\"rule\": {}, \"file\": {}, \"baseline\": {}, \"actual\": {}}}",
-            json_str(&imp.rule),
-            json_str(&imp.file),
-            imp.baseline,
-            imp.actual
-        ));
-    }
-    out.push_str(if first { "]\n" } else { "\n  ]\n" });
-    out.push_str("}\n");
-    out
+    eprintln!(
+        "xlint: FAILED — {} violation(s); fix them or add a justified \
+         `// xlint: allow(<rule>, reason = \"…\")`",
+        report.violations.len()
+    );
+    ExitCode::FAILURE
 }
 
 fn usage_error(msg: &str) -> ExitCode {

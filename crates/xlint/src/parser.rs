@@ -1,6 +1,6 @@
 //! A lightweight item parser on top of [`crate::lexer`]: extracts the
 //! functions, impl blocks, `use` declarations, call sites and lock
-//! acquisitions the interprocedural rules (L2/P2/D3) consume.
+//! acquisitions the interprocedural rules (L2/D3/F1) consume.
 //!
 //! This is *not* a Rust parser — it is a structural scan over the token
 //! stream that recovers exactly the facts the call/lock graphs need:

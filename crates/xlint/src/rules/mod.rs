@@ -1,12 +1,12 @@
 //! The rule set. Each rule is a pure function from a [`SourceFile`] to
-//! violations; allow-directive filtering and baseline ratcheting happen in
-//! the driver so rules stay trivially fixture-testable.
+//! violations; allow-directive filtering happens in the driver so rules
+//! stay trivially fixture-testable.
 //!
 //! | id | invariant |
 //! |----|-----------|
 //! | D1 | no `HashMap`/`HashSet` *iteration* in determinism-critical crates — iteration order is nondeterministic and must never reach scores, samples or serialized artefacts |
 //! | D2 | no ambient nondeterminism (`thread_rng`, `rand::random`, `SystemTime::now`, `Instant::now`, `std::env`) outside the bench/metrics/CLI timing allowlist |
-//! | P1 | no `unwrap`/`expect`/`panic!`-family (and, opt-in per crate, slice indexing) in library code outside `#[cfg(test)]` |
+//! | P1 | no `unwrap`/`expect`/`panic!`-family in library code outside `#[cfg(test)]` |
 //! | L1 | no lock acquisition whose poison is unwrapped without recovery, and no lock guard held across a call into another workspace crate |
 //!
 //! The interprocedural family (PR 6) consumes the workspace call and lock
@@ -15,7 +15,6 @@
 //! | id | invariant |
 //! |----|-----------|
 //! | L2 | the workspace lock graph is acyclic — no two code paths acquire the same locks in opposite order, even across crates |
-//! | P2 | `pub` APIs of scoped library crates do not transitively reach a live P1 panic site |
 //! | D3 | in-scope functions do not call out-of-scope functions tainted by ambient nondeterminism |
 //!
 //! The soundness family (PR 10) covers memory safety, memory ordering
@@ -39,7 +38,6 @@ mod f1;
 mod l1;
 mod l2;
 mod p1;
-mod p2;
 mod u1;
 
 pub use a1::{check_a1, check_a2};
@@ -50,17 +48,16 @@ pub use e1::check_e1;
 pub use f1::check_f1;
 pub use l1::check_l1;
 pub use l2::check_l2;
-pub use p1::{check_p1, P1Options};
-pub use p2::{burndown, check_p2, BurndownEntry};
+pub use p1::check_p1;
 pub use u1::{check_u1, check_u2};
 
 use crate::lexer::{Token, TokenKind};
 use crate::source::SourceFile;
 
-/// One rule hit, before allow/baseline filtering.
+/// One rule hit, before allow filtering.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// `"D1"`, `"D2"`, `"P1"` or `"L1"`.
+    /// The rule id, upper case (`"D1"`, `"P1"`, `"L2"`, …).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub file: String,

@@ -9,25 +9,18 @@
 //! genuinely cannot fail are documented in place with
 //! `// xlint: allow(p1, reason = "…")`.
 //!
-//! Slice indexing (`xs[i]`) is the same hazard with worse ergonomics to
-//! ban wholesale — tensor math indexes in every inner loop — so it is
-//! opt-in per crate via `indexing_crates` in `xlint.toml`.
+//! Slice indexing (`xs[i]`) is the same hazard but is not flagged: tensor
+//! math indexes in every inner loop, so banning it would bury the findings
+//! that matter under justified allows.
 
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
 use super::{is_punct, Violation};
 
-/// Per-crate toggles for P1.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct P1Options {
-    /// Also flag slice-indexing expressions (`xs[i]`).
-    pub indexing: bool,
-}
-
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
-pub fn check_p1(sf: &SourceFile, opts: P1Options) -> Vec<Violation> {
+pub fn check_p1(sf: &SourceFile) -> Vec<Violation> {
     let toks = &sf.tokens;
     let mut out = Vec::new();
     for i in 0..toks.len() {
@@ -68,35 +61,6 @@ pub fn check_p1(sf: &SourceFile, opts: P1Options) -> Vec<Violation> {
                 ),
             ));
         }
-        // Opt-in: `expr [ …` indexing (out-of-bounds panics). An `#[attr]`
-        // or an array/slice *type or literal* is preceded by punctuation,
-        // so "value token followed by `[`" isolates indexing.
-        if opts.indexing
-            && is_punct(toks, i, "[")
-            && i >= 1
-            && (toks[i - 1].kind == TokenKind::Ident
-                || is_punct(toks, i - 1, ")")
-                || is_punct(toks, i - 1, "]"))
-            && !is_keyword_before_index(&toks[i - 1].text)
-        {
-            out.push(Violation::new(
-                "P1",
-                sf,
-                toks[i].line,
-                "slice indexing panics out of bounds — use `get`/`get_mut` or justify with \
-                 `// xlint: allow(p1, reason = \"…\")`"
-                    .to_string(),
-            ));
-        }
     }
     out
-}
-
-/// Keywords that can directly precede `[` without forming an index
-/// expression (`return [a, b]`, `in [1, 2]`, …).
-fn is_keyword_before_index(text: &str) -> bool {
-    matches!(
-        text,
-        "return" | "in" | "if" | "else" | "match" | "break" | "mut" | "as" | "where"
-    )
 }

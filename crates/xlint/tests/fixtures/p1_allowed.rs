@@ -1,9 +1,9 @@
 //! P1 negative fixture: a justified invariant.
 
-pub fn modulo_indexed(xs: &[u32], i: usize) -> u32 {
+pub fn modulo_get(xs: &[u32], i: usize) -> u32 {
     let at = i % xs.len();
     // xlint: allow(p1, reason = "index is reduced modulo len on the line above")
-    xs[at]
+    *xs.get(at).expect("in bounds")
 }
 
 pub fn always_some(x: u32) -> u32 {

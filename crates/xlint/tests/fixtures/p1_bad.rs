@@ -12,10 +12,6 @@ pub fn risky(xs: &[u32]) -> u32 {
     }
 }
 
-pub fn indexed(xs: &[u32]) -> u32 {
-    xs[0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

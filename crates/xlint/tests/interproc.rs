@@ -1,12 +1,10 @@
-//! Integration tests for the interprocedural rules (L2/P2/D3/F1) over the
+//! Integration tests for the interprocedural rules (L2/D3/F1) over the
 //! fixture mini-workspace in `tests/fixtures/ws_interproc/`, plus the
-//! baseline-determinism properties and the (slow, `--ignored`) whole-
-//! workspace graph-construction test.
+//! (slow, `--ignored`) whole-workspace graph-construction test.
 
 use std::path::{Path, PathBuf};
 
-use proptest::prelude::*;
-use xlint::config::{BaselineEntry, Config};
+use xlint::config::Config;
 use xlint::{build_graphs, lint_workspace, LintReport};
 
 fn fixture_root() -> PathBuf {
@@ -68,42 +66,6 @@ fn l2_does_not_flag_the_consistently_ordered_crate() {
 }
 
 #[test]
-fn p2_flags_the_pub_api_reaching_a_cross_crate_panic_site() {
-    let report = fixture_report();
-    let api: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == "P2" && v.file == "crates/libp/src/lib.rs")
-        .collect();
-    assert_eq!(api.len(), 1, "only `api` is flagged, not `safe`: {api:#?}");
-    let msg = &api[0].message;
-    assert!(
-        msg.contains("xfraud_libp::api"),
-        "names the entry point: {msg}"
-    );
-    assert!(
-        msg.contains("xfraud_panico::boom"),
-        "witness path reaches the panic site: {msg}"
-    );
-    assert!(
-        msg.contains("crates/panico/src/lib.rs:4"),
-        "cites the P1 site: {msg}"
-    );
-}
-
-#[test]
-fn p2_burndown_ranks_the_panic_site_by_pub_fanin() {
-    let report = fixture_report();
-    let entry = report
-        .burndown
-        .iter()
-        .find(|b| b.file == "crates/panico/src/lib.rs")
-        .expect("the fixture panic site appears in the burn-down table");
-    // `libp::api` + `panico::boom` itself can reach the site.
-    assert_eq!(entry.pub_apis, 2, "{entry:#?}");
-}
-
-#[test]
 fn d3_flags_the_frontier_call_through_the_reexport() {
     let report = fixture_report();
     let d3: Vec<_> = report
@@ -150,125 +112,6 @@ fn f1_flags_the_unsynced_rename_path_but_not_the_synced_one() {
         "the synced path is clean: {}",
         v.message
     );
-}
-
-#[test]
-fn p1_still_fires_inside_the_fixture_workspace() {
-    // The P2 roots are live P1 violations; make sure the fixture really
-    // produces one (guards the test setup itself).
-    let report = fixture_report();
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| v.rule == "P1" && v.file == "crates/panico/src/lib.rs"),
-        "fixture panic site must be a live P1 violation"
-    );
-}
-
-#[test]
-fn check_is_idempotent_once_the_baseline_is_up_to_date() {
-    let root = fixture_root();
-    let cfg_text = std::fs::read_to_string(root.join("xlint.toml")).expect("fixture config reads");
-    let report = fixture_report();
-    assert!(!report.violations.is_empty(), "fixture produces findings");
-
-    // Grandfather everything, exactly as `--update-baseline` would.
-    let rendered = Config::render_with_baseline(&cfg_text, &report.fresh_baseline());
-    let cfg2 = Config::parse(&rendered).expect("rendered config parses");
-    let report2 = lint_workspace(&root, &cfg2).expect("second scan");
-    assert!(report2.regressions.is_empty(), "{:#?}", report2.regressions);
-    assert!(
-        report2.improvements.is_empty(),
-        "{:#?}",
-        report2.improvements
-    );
-
-    // Regenerating off the up-to-date tree changes nothing, byte for byte.
-    let rendered_again = Config::render_with_baseline(&rendered, &report2.fresh_baseline());
-    assert_eq!(
-        rendered, rendered_again,
-        "--update-baseline must be a fixpoint"
-    );
-}
-
-fn entry_strategy() -> impl Strategy<Value = BaselineEntry> {
-    (
-        prop_oneof![
-            Just("D1"),
-            Just("D2"),
-            Just("D3"),
-            Just("P1"),
-            Just("P2"),
-            Just("L1"),
-            Just("L2"),
-            Just("U1"),
-            Just("U2"),
-            Just("A1"),
-            Just("A2"),
-            Just("F1"),
-            Just("E1"),
-        ],
-        prop_oneof![
-            Just("crates/serve/src/engine.rs"),
-            Just("crates/serve/src/cache.rs"),
-            Just("crates/ingest/src/wal.rs"),
-            Just("crates/kvstore/src/stores.rs"),
-            Just("crates/tensor/src/ops.rs"),
-            Just("crates/gnn/src/sampler.rs"),
-        ],
-        1usize..40,
-    )
-        .prop_map(|(rule, file, count)| BaselineEntry {
-            rule: rule.to_string(),
-            file: file.to_string(),
-            count,
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// `--update-baseline` output is a deterministic function of the
-    /// violation *set*: input order never matters, rendering is stable
-    /// under render → parse → render, and entries come out file-major
-    /// sorted so regeneration never produces spurious diffs.
-    #[test]
-    fn baseline_rendering_is_order_insensitive_and_idempotent(
-        entries in prop::collection::vec(entry_strategy(), 0..24),
-        seed in any::<u64>(),
-    ) {
-        // Dedup (rule, file) pairs the way fresh_baseline's map does.
-        let mut entries = entries;
-        entries.sort();
-        entries.dedup_by(|a, b| a.rule == b.rule && a.file == b.file);
-        // Shuffle deterministically from the seed: render must not care.
-        let mut shuffled = entries.clone();
-        let mut state = seed | 1;
-        for i in (1..shuffled.len()).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            shuffled.swap(i, (state >> 33) as usize % (i + 1));
-        }
-
-        let head = "[rules.p1]\ncrates = [\"serve\"]\n";
-        let r1 = Config::render_with_baseline(head, &entries);
-        let r_shuffled = Config::render_with_baseline(head, &shuffled);
-        prop_assert_eq!(&r1, &r_shuffled, "input order must not affect output");
-
-        let cfg = Config::parse(&r1).expect("rendered baseline parses");
-        let r2 = Config::render_with_baseline(&r1, &cfg.baseline);
-        prop_assert_eq!(&r1, &r2, "render -> parse -> render is a fixpoint");
-
-        // File-major order in the output text.
-        let files: Vec<&str> = r1
-            .lines()
-            .filter_map(|l| l.strip_prefix("file = \""))
-            .map(|l| l.trim_end_matches('"'))
-            .collect();
-        let mut sorted_files = files.clone();
-        sorted_files.sort();
-        prop_assert_eq!(files, sorted_files, "entries are grouped by file");
-    }
 }
 
 /// Slow whole-workspace graph construction: runs in the scheduled CI job

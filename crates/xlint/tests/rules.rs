@@ -5,8 +5,7 @@
 use std::path::Path;
 
 use xlint::rules::{
-    check_a1, check_a2, check_d1, check_d2, check_e1, check_l1, check_p1, check_u1, P1Options,
-    Violation,
+    check_a1, check_a2, check_d1, check_d2, check_e1, check_l1, check_p1, check_u1, Violation,
 };
 use xlint::source::SourceFile;
 
@@ -81,17 +80,15 @@ fn d2_allow_covers_the_next_line() {
 #[test]
 fn p1_flags_panics_and_optin_indexing_outside_tests() {
     let sf = parse("p1_bad.rs", include_str!("fixtures/p1_bad.rs"));
-    let without_indexing = check_p1(&sf, P1Options { indexing: false });
-    assert_eq!(without_indexing.len(), 4, "{without_indexing:#?}");
-    let with_indexing = check_p1(&sf, P1Options { indexing: true });
-    assert_eq!(with_indexing.len(), 5, "{with_indexing:#?}");
-    assert!(with_indexing.iter().any(|v| v.message.contains("indexing")));
+    let v = check_p1(&sf);
+    assert_eq!(v.len(), 4, "{v:#?}");
+    assert!(v.iter().all(|v| v.rule == "P1"));
 }
 
 #[test]
 fn p1_allows_suppress_justified_invariants() {
     let sf = parse("p1_allowed.rs", include_str!("fixtures/p1_allowed.rs"));
-    let (live, suppressed) = split_allows(&sf, check_p1(&sf, P1Options { indexing: true }));
+    let (live, suppressed) = split_allows(&sf, check_p1(&sf));
     assert!(live.is_empty(), "{live:#?}");
     assert_eq!(suppressed, 2);
 }
