@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use xfraud_gnn::{Masks, Model, SubgraphBatch};
 use xfraud_hetgraph::Community;
 use xfraud_nn::{AdamW, ParamStore, Session};
-use xfraud_tensor::{softmax_rows, Tensor, Var};
+use xfraud_tensor::{Tensor, Var};
 
 /// Undirected edge weights aligned with a community's
 /// [`xfraud_hetgraph::HetGraph::undirected_links`] order.
@@ -92,15 +92,8 @@ impl<'m, M: Model> GnnExplainer<'m, M> {
 
         // 1. The detector's own prediction is the explanation target (the
         //    mutual-information view of GNNExplainer).
-        let (predicted_label, predicted_score) = {
-            let mut sess = Session::new();
-            let logits = self
-                .model
-                .forward(&mut sess, batch, false, &mut rng, &Masks::none());
-            let probs = softmax_rows(sess.tape.value(logits));
-            let score = probs.get(0, 1);
-            (usize::from(score >= 0.5), score)
-        };
+        let predicted_score = self.model.predict(batch, &mut rng)[0];
+        let predicted_label = usize::from(predicted_score >= 0.5);
         let labels = Rc::new(vec![predicted_label]);
 
         // 2. Mask parameters, random-initialised (Appendix D: "initialized
@@ -123,7 +116,8 @@ impl<'m, M: Model> GnnExplainer<'m, M> {
             .with_clip(None);
 
         for _ in 0..self.cfg.epochs {
-            let mut sess = Session::new();
+            // The detector binds frozen: only the two mask logits are live.
+            let mut sess = Session::freezing(self.model.store());
             let el = sess.param(&masks, edge_logits);
             let fl = sess.param(&masks, feat_logits);
             let edge_mask = sess.tape.sigmoid(el);
@@ -160,12 +154,7 @@ impl<'m, M: Model> GnnExplainer<'m, M> {
             let loss = sess.tape.add(l3, feat_ent);
 
             let grads = sess.backward(loss);
-            // Freeze the detector: only mask parameters are stepped.
-            let mask_grads: Vec<_> = grads
-                .into_iter()
-                .filter(|(id, _)| masks.owns(*id))
-                .collect();
-            opt.step(&mut masks, &mask_grads);
+            opt.step(&mut masks, &grads);
         }
 
         // 3. Read out the masks.

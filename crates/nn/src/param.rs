@@ -155,6 +155,8 @@ impl ParamStore {
 pub struct Session {
     pub tape: Tape,
     bound: Vec<(ParamId, Var)>,
+    /// Uid of the store whose parameters bind as constants, if any.
+    frozen: Option<u64>,
 }
 
 impl Session {
@@ -162,6 +164,17 @@ impl Session {
         Session {
             tape: Tape::new(),
             bound: Vec::new(),
+            frozen: None,
+        }
+    }
+
+    /// A session in which `store`'s parameters bind as constants: backward
+    /// computes no gradient for them or for anything only they feed. The
+    /// GNNExplainer runs its frozen detector this way.
+    pub fn freezing(store: &ParamStore) -> Self {
+        Session {
+            frozen: Some(store.uid),
+            ..Session::new()
         }
     }
 
@@ -172,7 +185,8 @@ impl Session {
         if let Some(&(_, var)) = self.bound.iter().find(|(pid, _)| *pid == id) {
             return var;
         }
-        let var = self.tape.leaf(store.value(id).clone(), true);
+        let live = self.frozen != Some(id.store);
+        let var = self.tape.leaf(store.value(id).clone(), live);
         self.bound.push((id, var));
         var
     }
@@ -183,7 +197,7 @@ impl Session {
     }
 
     /// Runs backward from `loss` and returns `(param, gradient)` pairs for
-    /// every bound parameter that received a gradient.
+    /// every live bound parameter that received a gradient.
     pub fn backward(&mut self, loss: Var) -> Vec<(ParamId, Tensor)> {
         self.tape.backward(loss);
         self.bound
@@ -242,6 +256,26 @@ mod tests {
         let loss = sess.tape.sum_all(s);
         let grads = sess.backward(loss);
         assert_eq!(grads[0].1.item(), 2.0);
+    }
+
+    #[test]
+    fn freezing_backward_returns_only_the_other_stores_ids() {
+        // loss = Σ (w_frozen ⊙ m), with the frozen weight bound twice.
+        let mut frozen = ParamStore::new();
+        let w = frozen.register("w", Tensor::full(1, 2, 3.0));
+        let mut live = ParamStore::new();
+        let m = live.register("m", Tensor::full(1, 2, 0.5));
+        let mut sess = Session::freezing(&frozen);
+        let wv = sess.param(&frozen, w);
+        let mv = sess.param(&live, m);
+        assert_eq!(sess.param(&frozen, w), wv);
+        let prod = sess.tape.mul(wv, mv);
+        let loss = sess.tape.sum_all(prod);
+        let grads = sess.backward(loss);
+        assert_eq!(grads.len(), 1);
+        assert_eq!(grads[0].0, m);
+        assert_eq!(grads[0].1.row(0), &[3.0, 3.0]);
+        assert!(sess.tape.grad(wv).is_none());
     }
 
     #[test]

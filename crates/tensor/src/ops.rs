@@ -11,7 +11,8 @@ use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
 pub(crate) enum Op {
-    Leaf,
+    /// A leaf; the flag is its `requires_grad`.
+    Leaf(bool),
     MatMul(Var, Var),
     Add(Var, Var),
     AddRowBroadcast(Var, Var),
@@ -34,6 +35,38 @@ pub(crate) enum Op {
     SumAll(Var),
     MeanAll(Var),
     SoftmaxCrossEntropy(Var, Rc<Vec<usize>>),
+}
+
+impl Op {
+    /// The `needs_grad` bit of the node this op produces, given its inputs'
+    /// bits: a leaf's flag, otherwise whether any input needs a gradient.
+    pub(crate) fn needs_grad(&self, input: impl Fn(Var) -> bool) -> bool {
+        match self {
+            Op::Leaf(requires_grad) => *requires_grad,
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::AddRowBroadcast(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::MulColBroadcast(a, b) => input(*a) || input(*b),
+            Op::Scale(a, _)
+            | Op::AddConst(a)
+            | Op::Relu(a)
+            | Op::LeakyRelu(a, _)
+            | Op::Tanh(a)
+            | Op::Sigmoid(a)
+            | Op::LogEps(a, _)
+            | Op::Dropout(a, _)
+            | Op::GatherRows(a, _)
+            | Op::SegmentSum(a, _)
+            | Op::SegmentSoftmax(a, _, _)
+            | Op::SumAll(a)
+            | Op::MeanAll(a)
+            | Op::SoftmaxCrossEntropy(a, _) => input(*a),
+            Op::ConcatCols(parts) => parts.iter().any(|&v| input(v)),
+            Op::LayerNorm(x, gain, bias, _) => input(*x) || input(*gain) || input(*bias),
+        }
+    }
 }
 
 #[inline]
@@ -89,66 +122,106 @@ pub fn softmax_rows(logits: &Tensor) -> Tensor {
     out
 }
 
-/// Propagates `g`, the gradient of node `i`, into its inputs.
+/// Propagates `g`, the gradient of node `i`, into those of its inputs that
+/// need one. A single-input op needs no check: its node needs a gradient
+/// only if its input does. Multi-input ops compute each input's branch only
+/// if it is read, and always accumulate in input order, so an input passed
+/// twice (`x * x`) sums its two deltas in the same order as ever.
 pub(crate) fn backward_step(tape: &mut Tape, i: usize, g: Tensor) {
     // Ops are matched by moving small copies of their metadata out to keep the
     // borrow checker happy; input values are re-borrowed immutably per branch.
     match &tape.nodes[i].op {
-        Op::Leaf => {}
+        Op::Leaf(_) => {}
         Op::MatMul(a, b) => {
             let (a, b) = (*a, *b);
             // `Tape::matmul` required `a.cols == b.rows` and `g` has the
             // product's shape, so both products are shape-correct.
-            let da = g.matmul_unchecked(&tape.nodes[b.0].value.transpose());
-            let db = tape.nodes[a.0].value.matmul_tn_unchecked(&g);
-            tape.accumulate_grad(a, da);
-            tape.accumulate_grad(b, db);
+            if tape.needs_grad(a) {
+                let da = g.matmul_unchecked(&tape.nodes[b.0].value.transpose());
+                tape.accumulate_grad(a, da);
+            }
+            if tape.needs_grad(b) {
+                let db = tape.nodes[a.0].value.matmul_tn_unchecked(&g);
+                tape.accumulate_grad(b, db);
+            }
         }
         Op::Add(a, b) => {
             let (a, b) = (*a, *b);
-            tape.accumulate_grad(a, g.clone());
-            tape.accumulate_grad(b, g);
+            if tape.needs_grad(a) && tape.needs_grad(b) {
+                tape.accumulate_grad(a, g.clone());
+                tape.accumulate_grad(b, g);
+            } else {
+                let live = if tape.needs_grad(a) { a } else { b };
+                tape.accumulate_grad(live, g);
+            }
         }
         Op::AddRowBroadcast(a, b) => {
             let (a, b) = (*a, *b);
-            let mut db = Tensor::zeros(1, g.cols());
-            for r in 0..g.rows() {
-                for (o, &x) in db.row_mut(0).iter_mut().zip(g.row(r)) {
-                    *o += x;
+            let db = tape.needs_grad(b).then(|| {
+                let mut db = Tensor::zeros(1, g.cols());
+                for r in 0..g.rows() {
+                    for (o, &x) in db.row_mut(0).iter_mut().zip(g.row(r)) {
+                        *o += x;
+                    }
                 }
-            }
+                db
+            });
             tape.accumulate_grad(a, g);
-            tape.accumulate_grad(b, db);
+            if let Some(db) = db {
+                tape.accumulate_grad(b, db);
+            }
         }
         Op::Sub(a, b) => {
             let (a, b) = (*a, *b);
-            tape.accumulate_grad(a, g.clone());
-            tape.accumulate_grad(b, g.map(|x| -x));
+            let db = tape.needs_grad(b).then(|| g.map(|x| -x));
+            tape.accumulate_grad(a, g);
+            if let Some(db) = db {
+                tape.accumulate_grad(b, db);
+            }
         }
         Op::Mul(a, b) => {
             let (a, b) = (*a, *b);
-            let da = g.zip_map(&tape.nodes[b.0].value, |gg, y| gg * y);
-            let db = g.zip_map(&tape.nodes[a.0].value, |gg, x| gg * x);
-            tape.accumulate_grad(a, da);
-            tape.accumulate_grad(b, db);
+            if tape.needs_grad(a) {
+                let da = g.zip_map(&tape.nodes[b.0].value, |gg, y| gg * y);
+                tape.accumulate_grad(a, da);
+            }
+            if tape.needs_grad(b) {
+                let db = g.zip_map(&tape.nodes[a.0].value, |gg, x| gg * x);
+                tape.accumulate_grad(b, db);
+            }
         }
         Op::MulColBroadcast(a, b) => {
             let (a, b) = (*a, *b);
             let va = &tape.nodes[a.0].value;
             let vb = &tape.nodes[b.0].value;
-            let mut da = g.clone();
-            let mut db = Tensor::zeros(vb.rows(), 1);
-            for r in 0..g.rows() {
-                let s = vb.get(r, 0);
-                let mut acc = 0.0;
-                for (o, &x) in da.row_mut(r).iter_mut().zip(va.row(r)) {
-                    acc += *o * x;
-                    *o *= s;
+            // `db` reads `g` before `da` scales it in place.
+            let db = tape.needs_grad(b).then(|| {
+                let mut db = Tensor::zeros(vb.rows(), 1);
+                for r in 0..g.rows() {
+                    let mut acc = 0.0;
+                    for (&gg, &x) in g.row(r).iter().zip(va.row(r)) {
+                        acc += gg * x;
+                    }
+                    db.set(r, 0, acc);
                 }
-                db.set(r, 0, acc);
+                db
+            });
+            let da = tape.needs_grad(a).then(|| {
+                let mut da = g;
+                for r in 0..da.rows() {
+                    let s = vb.get(r, 0);
+                    for o in da.row_mut(r) {
+                        *o *= s;
+                    }
+                }
+                da
+            });
+            if let Some(da) = da {
+                tape.accumulate_grad(a, da);
             }
-            tape.accumulate_grad(a, da);
-            tape.accumulate_grad(b, db);
+            if let Some(db) = db {
+                tape.accumulate_grad(b, db);
+            }
         }
         Op::Scale(a, s) => {
             let (a, s) = (*a, *s);
@@ -205,6 +278,10 @@ pub(crate) fn backward_step(tape: &mut Tape, i: usize, g: Tensor) {
             let mut off = 0;
             for v in parts {
                 let cols = tape.nodes[v.0].value.cols();
+                if !tape.needs_grad(v) {
+                    off += cols;
+                    continue;
+                }
                 let mut dv = Tensor::zeros(g.rows(), cols);
                 for r in 0..g.rows() {
                     dv.row_mut(r).copy_from_slice(&g.row(r)[off..off + cols]);
@@ -252,8 +329,8 @@ pub(crate) fn backward_step(tape: &mut Tape, i: usize, g: Tensor) {
         }
         Op::LayerNorm(x, gain, bias, eps) => {
             let (x, gain, bias, eps) = (*x, *gain, *bias, *eps);
-            let vx = tape.nodes[x.0].value.clone();
-            let vg = tape.nodes[gain.0].value.clone();
+            let vx = &tape.nodes[x.0].value;
+            let vg = &tape.nodes[gain.0].value;
             let d = vx.cols() as f32;
             let mut dx = Tensor::zeros(vx.rows(), vx.cols());
             let mut dgain = Tensor::zeros(1, vx.cols());

@@ -18,12 +18,16 @@ pub(crate) struct Node {
     pub value: Tensor,
     pub grad: Option<Tensor>,
     pub op: Op,
+    /// Whether a gradient of this node can reach a `requires_grad` leaf:
+    /// a leaf's own flag, an op's OR over its inputs.
+    pub needs_grad: bool,
 }
 
 /// A reverse-mode autodiff tape (Wengert list).
 ///
 /// One tape is built per forward pass; [`Tape::backward`] then walks the list
-/// once in reverse, accumulating gradients into every node. Parameters live
+/// once in reverse, accumulating gradients into every node that leads to a
+/// `requires_grad` leaf and doing no work for the rest. Parameters live
 /// *outside* the tape (see `xfraud-nn`) and are re-inserted as leaves each
 /// step, so the tape can simply be dropped after the optimizer update.
 #[derive(Default)]
@@ -46,19 +50,22 @@ impl Tape {
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
+        let needs_grad = op.needs_grad(|v| self.nodes[v.0].needs_grad);
         self.nodes.push(Node {
             value,
             grad: None,
             op,
+            needs_grad,
         });
         Var(self.nodes.len() - 1)
     }
 
-    /// Inserts a leaf tensor. `requires_grad` is advisory: gradients are
-    /// computed for all reachable nodes, but leaves inserted with `false`
-    /// skip gradient allocation when nothing flows into them.
-    pub fn leaf(&mut self, value: Tensor, _requires_grad: bool) -> Var {
-        self.push(value, Op::Leaf)
+    /// Inserts a leaf tensor. Only leaves inserted with `requires_grad` get
+    /// a gradient from [`Tape::backward`]; a `false` leaf is a constant, and
+    /// an op whose inputs are all constants is one too, so backward computes
+    /// nothing into or through them.
+    pub fn leaf(&mut self, value: Tensor, requires_grad: bool) -> Var {
+        self.push(value, Op::Leaf(requires_grad))
     }
 
     /// The forward value of a node.
@@ -66,9 +73,16 @@ impl Tape {
         &self.nodes[v.0].value
     }
 
-    /// The gradient accumulated into a node by the last [`Tape::backward`].
+    /// The gradient the last [`Tape::backward`] accumulated into a
+    /// `requires_grad` leaf. `None` for constants, for leaves the loss does
+    /// not depend on, and for every op node: backward consumes their
+    /// gradients as it propagates them.
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
         self.nodes[v.0].grad.as_ref()
+    }
+
+    pub(crate) fn needs_grad(&self, v: Var) -> bool {
+        self.nodes[v.0].needs_grad
     }
 
     // ---- differentiable ops -------------------------------------------------
@@ -306,6 +320,12 @@ impl Tape {
 
     /// Runs reverse-mode accumulation from a scalar `[1,1]` node.
     ///
+    /// Only nodes with a path to a `requires_grad` leaf are visited, and an
+    /// op propagates only into the inputs that have one. A node that needs
+    /// a gradient receives it only from consumers that need one too, in the
+    /// same reverse order as a full sweep, so its bits do not depend on the
+    /// work skipped elsewhere.
+    ///
     /// # Panics
     /// Panics if `seed` is not a scalar.
     pub fn backward(&mut self, seed: Var) {
@@ -317,19 +337,49 @@ impl Tape {
         for node in &mut self.nodes {
             node.grad = None;
         }
-        self.nodes[seed.0].grad = Some(Tensor::scalar(1.0));
+        self.accumulate_grad(seed, Tensor::scalar(1.0));
         for i in (0..self.nodes.len()).rev() {
-            let Some(g) = self.nodes[i].grad.clone() else {
+            let node = &mut self.nodes[i];
+            if matches!(node.op, Op::Leaf(_)) {
+                continue;
+            }
+            let Some(g) = node.grad.take() else {
                 continue;
             };
             ops::backward_step(self, i, g);
         }
     }
 
+    /// Adds `delta` into `v`'s gradient; dropped if `v` needs none.
     pub(crate) fn accumulate_grad(&mut self, v: Var, delta: Tensor) {
+        if !self.nodes[v.0].needs_grad {
+            return;
+        }
         match &mut self.nodes[v.0].grad {
             Some(g) => g.add_assign_unchecked(&delta),
             slot @ None => *slot = Some(delta),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn needs_grad_is_the_or_of_the_inputs() {
+        let mut tape = Tape::new();
+        let x = tape.leaf(Tensor::scalar(2.0), true);
+        let c = tape.leaf(Tensor::scalar(5.0), false);
+        let d = tape.leaf(Tensor::scalar(7.0), false);
+        let cd = tape.matmul(c, d);
+        let cd = tape.relu(cd);
+        let both = tape.concat_cols(&[cd, x]);
+        let xc = tape.add(x, cd);
+        assert!(tape.needs_grad(x));
+        assert!(!tape.needs_grad(c));
+        assert!(!tape.needs_grad(cd));
+        assert!(tape.needs_grad(both));
+        assert!(tape.needs_grad(xc));
     }
 }

@@ -183,7 +183,7 @@ impl Tensor {
         out
     }
 
-    /// `self^T @ rhs` without materialising the transpose.
+    /// `self^T @ rhs`.
     pub fn matmul_tn(&self, rhs: &Tensor) -> Result<Tensor> {
         if self.rows != rhs.rows {
             return Err(TensorError::ShapeMismatch {
@@ -197,26 +197,12 @@ impl Tensor {
 
     /// `self^T @ rhs` for shapes the caller has already checked.
     pub(crate) fn matmul_tn_unchecked(&self, rhs: &Tensor) -> Tensor {
-        debug_assert_eq!(self.rows, rhs.rows);
-        let mut out = Tensor::zeros(self.cols, rhs.cols);
-        // out[i][j] = sum_k self[k][i] * rhs[k][j]
-        for k in 0..self.rows {
-            let a_row = self.row(k);
-            let b_row = rhs.row(k);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        // `out[i][j] = Σ_k self[k][i] · rhs[k][j]`, `k` in order — the sum the
+        // blocked kernel forms against the transposed `self`.
+        self.transpose().matmul_unchecked(rhs)
     }
 
-    /// `self @ rhs^T` without materialising the transpose.
+    /// `self @ rhs^T`.
     pub fn matmul_nt(&self, rhs: &Tensor) -> Result<Tensor> {
         if self.cols != rhs.cols {
             return Err(TensorError::ShapeMismatch {

@@ -93,6 +93,50 @@ fn backward_can_run_twice_with_reset_gradients() {
 }
 
 #[test]
+fn constant_leaves_get_no_gradient() {
+    let mut tape = Tape::new();
+    let x = tape.leaf(Tensor::from_rows(&[&[1.0, 2.0]]), true);
+    let c = tape.leaf(Tensor::from_rows(&[&[3.0, 4.0]]), false);
+    let y = tape.mul(x, c);
+    let loss = tape.sum_all(y);
+    tape.backward(loss);
+    assert_eq!(tape.grad(x).unwrap().row(0), &[3.0, 4.0]);
+    assert!(tape.grad(c).is_none());
+    // Op nodes hand their gradient on and keep none.
+    assert!(tape.grad(y).is_none());
+}
+
+#[test]
+fn ops_fed_only_by_constants_record_no_gradient() {
+    let mut tape = Tape::new();
+    let x = tape.leaf(Tensor::scalar(2.0), true);
+    let c = tape.leaf(Tensor::scalar(5.0), false);
+    let d = tape.leaf(Tensor::scalar(7.0), false);
+    let cd = tape.matmul(c, d);
+    let cd = tape.relu(cd);
+    let xc = tape.add(x, cd);
+    let loss = tape.mul(xc, cd);
+    tape.backward(loss);
+    // d/dx (x + cd)·cd = cd, with the constant branch contributing nothing.
+    assert_eq!(tape.grad(x).unwrap().item(), 35.0);
+    for v in [c, d, cd] {
+        assert!(tape.grad(v).is_none());
+    }
+}
+
+#[test]
+fn backward_from_a_constant_loss_is_a_no_op() {
+    let mut tape = Tape::new();
+    let x = tape.leaf(Tensor::scalar(2.0), true);
+    let c = tape.leaf(Tensor::scalar(3.0), false);
+    let _unused = tape.mul(x, c);
+    let loss = tape.scale(c, 2.0);
+    tape.backward(loss);
+    assert!(tape.grad(x).is_none());
+    assert!(tape.grad(c).is_none());
+}
+
+#[test]
 #[should_panic(expected = "scalar")]
 fn backward_from_non_scalar_panics() {
     let mut tape = Tape::new();

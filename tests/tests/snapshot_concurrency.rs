@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Barrier, OnceLock};
 
 use xfraud::hetgraph::{GraphEvent, GraphSnapshot, NodeId, NodeType};
 use xfraud::kernels::FlatCsr;
@@ -63,6 +63,10 @@ fn scores_and_snapshots_stay_consistent_under_writer_churn() {
 
     const BATCHES: usize = 40;
     let done = AtomicBool::new(false);
+    // The writer, both scorers and the snapper: every reader is running
+    // before the first publish, and each reads at least once, so none can
+    // miss the whole churn however the threads are scheduled.
+    let start = Barrier::new(4);
     let mut snapshots: Vec<GraphSnapshot> = Vec::new();
 
     std::thread::scope(|s| {
@@ -73,16 +77,20 @@ fn scores_and_snapshots_stay_consistent_under_writer_churn() {
                 let engine = &engine;
                 let pool = &pool;
                 let done = &done;
+                let start = &start;
                 s.spawn(move || {
+                    start.wait();
                     let mut rounds = 0usize;
-                    while !done.load(Ordering::Acquire) && rounds < 10_000 {
+                    loop {
                         let got = engine.score(pool).expect("scores during churn");
                         for (&t, &sc) in pool.iter().zip(&got) {
                             assert!(sc.is_finite(), "score of txn {t} went non-finite");
                         }
                         rounds += 1;
+                        if done.load(Ordering::Acquire) || rounds == 10_000 {
+                            break rounds;
+                        }
                     }
-                    rounds
                 })
             })
             .collect();
@@ -91,16 +99,21 @@ fn scores_and_snapshots_stay_consistent_under_writer_churn() {
         let snapper = {
             let engine = &engine;
             let done = &done;
+            let start = &start;
             s.spawn(move || {
+                start.wait();
                 let mut taken = Vec::new();
-                while !done.load(Ordering::Acquire) && taken.len() < 2_000 {
+                loop {
                     taken.push(engine.graph_snapshot());
+                    if done.load(Ordering::Acquire) || taken.len() == 2_000 {
+                        break taken;
+                    }
                 }
-                taken
             })
         };
 
         // Writer: apply batches, compacting every few publishes.
+        start.wait();
         for i in 0..BATCHES {
             engine
                 .apply_events(&event_batch(dim, i))
