@@ -189,6 +189,8 @@ mod tests {
         );
     }
 
+    // Release builds compile the `debug_assert!` out and drop the row.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "missing from the sampled node set")]
     fn target_outside_node_set_asserts_in_debug_builds() {

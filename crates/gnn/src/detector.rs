@@ -8,6 +8,7 @@ use xfraud_nn::{Embedding, Ffn, Layer, Linear, ParamStore, Session};
 use xfraud_tensor::{kernels, Var};
 
 use crate::batch::SubgraphBatch;
+use crate::field::Field;
 use crate::hetconv::HetConvLayer;
 use crate::infer::{at_least, with_arena, SourcePairs};
 use crate::model::{predict_on_tape, Masks, Model};
@@ -158,14 +159,29 @@ impl Model for XFraudDetector {
         let temb = self.type_emb.forward_ids(sess, &self.store, &type_ids);
         let x = sess.tape.add(x, temb);
 
+        // Each layer computes only the rows the next one reads (DESIGN §4.5).
+        let fields = Field::layers(batch, self.convs.len());
         let mut h = self.input_proj.forward(sess, &self.store, x);
-        for conv in &self.convs {
-            h = conv.forward(sess, &self.store, h, batch, masks.edge_mask, train, rng);
+        for (conv, field) in self.convs.iter().zip(&fields) {
+            h = conv.forward(
+                sess,
+                &self.store,
+                h,
+                batch,
+                field,
+                masks.edge_mask,
+                train,
+                rng,
+            );
         }
 
         // §3.2.1 step 3: tanh(GNN repr) ++ original features → FFN head.
         let tgt = Rc::new(batch.targets.clone());
-        let h_t = sess.tape.gather_rows(h, Rc::clone(&tgt));
+        let h_rows = match fields.last() {
+            Some(field) => Rc::new(field.rows_of(&batch.targets)),
+            None => Rc::clone(&tgt),
+        };
+        let h_t = sess.tape.gather_rows(h, h_rows);
         let h_t = sess.tape.tanh(h_t);
         let x_t = sess.tape.gather_rows(x, tgt);
         let cat = sess.tape.concat_cols(&[h_t, x_t]);

@@ -7,6 +7,7 @@ use xfraud_nn::{Embedding, Layer, Linear, ParamId, ParamStore, Session};
 use xfraud_tensor::{kernels, Tensor, Var};
 
 use crate::batch::SubgraphBatch;
+use crate::field::Field;
 use crate::infer::{at_least, SourcePairs};
 
 /// One self-attentive heterogeneous convolution layer (§3.2.2, eq. 1–10).
@@ -228,7 +229,10 @@ impl HetConvLayer {
         }
     }
 
-    /// Forward pass: `h` is `[n, d_in]`; returns `[n, d_out]`.
+    /// Forward pass over one receptive field: `h` holds the field's input
+    /// rows (`[n_in, d_in]`); returns its output rows (`[|field.nodes|,
+    /// d_out]`). Only the field's edges are projected, attended and
+    /// aggregated. `edge_mask` is over all batch edges (`[E, 1]`).
     #[allow(clippy::too_many_arguments)]
     pub fn forward(
         &self,
@@ -236,38 +240,44 @@ impl HetConvLayer {
         store: &ParamStore,
         h: Var,
         batch: &SubgraphBatch,
+        field: &Field,
         edge_mask: Option<Var>,
         train: bool,
         rng: &mut StdRng,
     ) -> Var {
-        let n = batch.n_nodes();
-        let src = Rc::new(batch.edge_src.clone());
-        let dst = Rc::new(batch.edge_dst.clone());
+        let n_out = field.nodes.len();
+        let dst = Rc::clone(&field.edge_dst);
 
         // Source-side input, with φ(e) on the first layer (eq. 4/6).
-        let mut h_src = sess.tape.gather_rows(h, Rc::clone(&src));
+        let mut h_src = sess.tape.gather_rows(h, Rc::clone(&field.edge_src));
         if let Some(edge_emb) = &self.edge_emb {
-            let ety: Vec<usize> = batch.edge_ty.iter().map(|t| t.index()).collect();
+            let ety: Vec<usize> = field
+                .edges
+                .iter()
+                .map(|&e| batch.edge_ty[e].index())
+                .collect();
             let e_rows = edge_emb.forward_ids(sess, store, &ety);
             h_src = sess.tape.add(h_src, e_rows);
         }
 
-        let src_types: Vec<NodeType> = batch
-            .edge_src
+        let src_types: Vec<NodeType> = field
+            .edges
             .iter()
-            .map(|&s| batch.node_types[s])
+            .map(|&e| batch.node_types[batch.edge_src[e]])
             .collect();
-        let k = self.k_lin.forward(sess, store, h_src, &src_types); // [E, d]
-        let v = self.v_lin.forward(sess, store, h_src, &src_types); // [E, d]
-        let q_nodes = self.q_lin.forward(sess, store, h, &batch.node_types); // [n, d]
-        let q = sess.tape.gather_rows(q_nodes, Rc::clone(&dst)); // [E, d]
+        let out_types: Vec<NodeType> = field.nodes.iter().map(|&v| batch.node_types[v]).collect();
+        let k = self.k_lin.forward(sess, store, h_src, &src_types); // [E', d]
+        let v = self.v_lin.forward(sess, store, h_src, &src_types); // [E', d]
+        let h_out = sess.tape.gather_rows(h, Rc::clone(&field.out_rows)); // [n', d_in]
+        let q_nodes = self.q_lin.forward(sess, store, h_out, &out_types); // [n', d]
+        let q = sess.tape.gather_rows(q_nodes, Rc::clone(&dst)); // [E', d]
 
         // Per-type attention vectors, one row per edge (eq. 8).
         let src_ty: Vec<usize> = src_types.iter().map(|t| t.index()).collect();
-        let dst_ty: Vec<usize> = batch
+        let dst_ty: Vec<usize> = field
             .edge_dst
             .iter()
-            .map(|&t| batch.node_types[t].index())
+            .map(|&r| out_types[r].index())
             .collect();
         let att_src_table = sess.param(store, self.w_att_src);
         let att_tgt_table = sess.param(store, self.w_att_tgt);
@@ -285,19 +295,24 @@ impl HetConvLayer {
         // GNNExplainer hook, part 1: a log-mask on the attention scores.
         // Masked-down edges lose the softmax competition to their siblings,
         // which removes the degenerate "inflate every mask" optimum that a
-        // purely multiplicative mask admits.
+        // purely multiplicative mask admits. The log and its broadcast run
+        // over all `E` edges, so the mask has the same consumers whatever
+        // the field (DESIGN §4.5).
         if let Some(mask) = edge_mask {
             let lm = sess.tape.log_eps(mask, 1e-6); // [E, 1]
             let ones = sess.constant(Tensor::full(1, self.heads, 1.0));
             let lm_b = sess.tape.matmul(lm, ones); // [E, h]
+            let lm_b = sess.tape.gather_rows(lm_b, Rc::clone(&field.edges)); // [E', h]
             scores = sess.tape.add(scores, lm_b);
         }
 
         // eq. 9: softmax over each target's in-neighbours, per head.
-        let alpha = sess.tape.segment_softmax(scores, Rc::clone(&dst), n);
-        // eq. 10: dropout on the attention heads.
+        let alpha = sess.tape.segment_softmax(scores, Rc::clone(&dst), n_out);
+        // eq. 10: dropout on the attention heads, drawn for all `E` edges so
+        // the RNG stream does not depend on the field.
         let alpha = if train && self.dropout > 0.0 {
-            sess.tape.dropout(alpha, self.dropout, rng)
+            sess.tape
+                .dropout_rows(alpha, self.dropout, &field.edges, batch.n_edges(), rng)
         } else {
             alpha
         };
@@ -310,14 +325,15 @@ impl HetConvLayer {
         // GNNExplainer hook, part 2: multiplicative damping keeps the
         // edge-deletion semantics (a fully masked target aggregates ~0).
         if let Some(mask) = edge_mask {
+            let mask = sess.tape.gather_rows(mask, Rc::clone(&field.edges));
             msg = sess.tape.mul_col(msg, mask);
         }
 
         // eq. 1: aggregate into targets; output projection + residual + ReLU.
-        let agg = sess.tape.segment_sum(msg, dst, n);
+        let agg = sess.tape.segment_sum(msg, dst, n_out);
         let mut out = self.a_lin.forward(sess, store, agg);
         if self.residual {
-            out = sess.tape.add(out, h);
+            out = sess.tape.add(out, h_out);
         }
         sess.tape.relu(out)
     }
@@ -341,7 +357,8 @@ impl HetConvLayer {
 
     /// Eval-mode forward without a tape: `h` is `[n, d_in]`, the result is
     /// written to `out` (`[n, d_out]`). Bit-identical to
-    /// [`HetConvLayer::forward`] with `train = false` and no edge mask, for
+    /// [`HetConvLayer::forward`] over [`Field::all`] with `train = false`
+    /// and no edge mask, for
     /// finite weights and activations. Requires [`HetConvLayer::can_infer`].
     ///
     /// Where the tape gathers `h` to one row per edge and projects `E` rows,
@@ -508,7 +525,16 @@ mod tests {
         let run = |rng: &mut StdRng| {
             let mut sess = Session::new();
             let h = sess.constant(batch.features.clone());
-            let out = layer.forward(&mut sess, &store, h, &batch, None, false, rng);
+            let out = layer.forward(
+                &mut sess,
+                &store,
+                h,
+                &batch,
+                &Field::all(&batch),
+                None,
+                false,
+                rng,
+            );
             sess.tape.value(out).clone()
         };
         let a = run(&mut rng);
@@ -540,7 +566,16 @@ mod tests {
         let mut sess = Session::new();
         let h = sess.constant(batch.features.clone());
         let mask = sess.constant(Tensor::zeros(batch.n_edges(), 1));
-        let out = layer.forward(&mut sess, &store, h, &batch, Some(mask), false, &mut rng);
+        let out = layer.forward(
+            &mut sess,
+            &store,
+            h,
+            &batch,
+            &Field::all(&batch),
+            Some(mask),
+            false,
+            &mut rng,
+        );
         // With all messages dead the aggregation is zero; output = relu(residual-free proj of 0) = 0.
         assert!(sess.tape.value(out).norm_sq() < 1e-10);
     }
@@ -561,7 +596,16 @@ mod tests {
             }
             let mut sess = Session::new();
             let h = sess.constant(batch.features.clone());
-            let want = layer.forward(&mut sess, &store, h, &batch, None, false, &mut rng);
+            let want = layer.forward(
+                &mut sess,
+                &store,
+                h,
+                &batch,
+                &Field::all(&batch),
+                None,
+                false,
+                &mut rng,
+            );
 
             let mut ids = Vec::new();
             let pairs = SourcePairs::of(&batch, &mut ids);
@@ -589,7 +633,16 @@ mod tests {
         let batch = toy_batch();
         let mut sess = Session::new();
         let h = sess.constant(batch.features.clone());
-        let out = layer.forward(&mut sess, &store, h, &batch, None, true, &mut rng);
+        let out = layer.forward(
+            &mut sess,
+            &store,
+            h,
+            &batch,
+            &Field::all(&batch),
+            None,
+            true,
+            &mut rng,
+        );
         let sq = sess.tape.mul(out, out);
         let loss = sess.tape.sum_all(sq);
         let grads = sess.backward(loss);

@@ -22,6 +22,7 @@
 mod batch;
 mod detector;
 mod engine;
+mod field;
 mod gat;
 mod gem;
 mod hetconv;
@@ -34,6 +35,7 @@ mod train;
 pub use batch::SubgraphBatch;
 pub use detector::{DetectorConfig, XFraudDetector};
 pub use engine::{batch_rng, default_num_workers, mix_seed, streams, BatchEngine};
+pub use field::Field;
 pub use gat::GatModel;
 pub use gem::GemModel;
 pub use hetconv::HetConvLayer;

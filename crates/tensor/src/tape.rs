@@ -200,25 +200,51 @@ impl Tape {
 
     /// Inverted dropout: each element is zeroed with probability `p` and the
     /// survivors are scaled by `1/(1-p)`. The mask is sampled here so the
-    /// backward pass reuses it exactly.
+    /// backward pass reuses it exactly. The all-rows case of
+    /// [`Tape::dropout_rows`].
     pub fn dropout(&mut self, a: Var, p: f32, rng: &mut StdRng) -> Var {
+        let n = self.nodes[a.0].value.rows();
+        let all: Vec<usize> = (0..n).collect();
+        self.dropout_rows(a, p, &all, n, rng)
+    }
+
+    /// Dropout on a row subset: `a` holds rows `rows` (strictly ascending)
+    /// of an `[n_rows, cols]` input. The mask is drawn for the whole input,
+    /// row-major, and only the kept rows' entries are applied, so `a` gets
+    /// exactly the entries a full-input dropout would give those rows and
+    /// `rng` ends in the same state.
+    pub fn dropout_rows(
+        &mut self,
+        a: Var,
+        p: f32,
+        rows: &[usize],
+        n_rows: usize,
+        rng: &mut StdRng,
+    ) -> Var {
         debug_assert!((0.0..1.0).contains(&p));
         if p == 0.0 {
             return a;
         }
         let keep = 1.0 - p;
         let va = &self.nodes[a.0].value;
-        let mask: Rc<Vec<f32>> = Rc::new(
-            (0..va.len())
-                .map(|_| {
-                    if rng.gen::<f32>() < keep {
-                        1.0 / keep
-                    } else {
-                        0.0
-                    }
-                })
-                .collect(),
-        );
+        debug_assert_eq!(va.rows(), rows.len());
+        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]) && rows.iter().all(|&r| r < n_rows));
+        let mut mask = Vec::with_capacity(va.len());
+        let mut kept = rows.iter().peekable();
+        for r in 0..n_rows {
+            let is_kept = kept.next_if_eq(&&r).is_some();
+            for _ in 0..va.cols() {
+                let m = if rng.gen::<f32>() < keep {
+                    1.0 / keep
+                } else {
+                    0.0
+                };
+                if is_kept {
+                    mask.push(m);
+                }
+            }
+        }
+        let mask = Rc::new(mask);
         let mut out = va.clone();
         for (o, &m) in out.data_mut().iter_mut().zip(mask.iter()) {
             *o *= m;

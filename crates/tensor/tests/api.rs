@@ -4,7 +4,7 @@
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use xfraud_tensor::{softmax_rows, Tape, Tensor, TensorError};
 
 #[test]
@@ -196,4 +196,37 @@ fn dropout_keeps_expectation() {
         (mean - 1.0).abs() < 0.05,
         "inverted dropout must preserve E[x]: {mean}"
     );
+}
+
+#[test]
+fn dropout_on_a_row_subset_keeps_the_full_masks_rows_and_rng_stream() {
+    let full = Tensor::rand_uniform(9, 4, 0.5, 1.5, &mut StdRng::seed_from_u64(1));
+    let rows = [0, 3, 4, 8];
+    let mut tape = Tape::new();
+    let x = tape.leaf(full.clone(), true);
+    let mut rng_full = StdRng::seed_from_u64(2);
+    let y_full = tape.dropout(x, 0.4, &mut rng_full);
+
+    let subset: Vec<&[f32]> = rows.iter().map(|&r| full.row(r)).collect();
+    let xs = tape.leaf(Tensor::from_rows(&subset), true);
+    let mut rng_rows = StdRng::seed_from_u64(2);
+    let y_rows = tape.dropout_rows(xs, 0.4, &rows, 9, &mut rng_rows);
+
+    for (i, &r) in rows.iter().enumerate() {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(tape.value(y_rows).row(i)),
+            bits(tape.value(y_full).row(r))
+        );
+    }
+    assert_eq!(rng_rows.gen::<u64>(), rng_full.gen::<u64>());
+    // Backward applies the same kept entries.
+    let loss = tape.sum_all(y_rows);
+    tape.backward(loss);
+    let grad = tape.grad(xs).unwrap();
+    for (i, &r) in rows.iter().enumerate() {
+        for (c, &y) in tape.value(y_full).row(r).iter().enumerate() {
+            assert_eq!(grad.get(i, c) == 0.0, y == 0.0, "row {r} col {c}");
+        }
+    }
 }
