@@ -12,22 +12,24 @@ use std::rc::Rc;
 
 use crate::batch::SubgraphBatch;
 
-/// One layer's receptive field over a [`SubgraphBatch`].
+/// One layer's receptive field over a [`SubgraphBatch`], built by
+/// [`Field::layers`] (or [`Field::all`]) and read by
+/// [`crate::HetConvLayer::forward`].
 ///
 /// Rows come in two numberings: *input rows* index the layer's input
 /// matrix, *output rows* index its output (and `nodes`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Field {
     /// Batch-local node id of each output row, ascending.
-    pub nodes: Vec<usize>,
+    pub(crate) nodes: Vec<usize>,
     /// The input row holding each output row's node.
-    pub out_rows: Rc<Vec<usize>>,
+    pub(crate) out_rows: Rc<Vec<usize>>,
     /// Batch ids of the edges whose target is an output row, in edge order.
-    pub edges: Rc<Vec<usize>>,
+    pub(crate) edges: Rc<Vec<usize>>,
     /// Each such edge's source, as an input row.
-    pub edge_src: Rc<Vec<usize>>,
+    pub(crate) edge_src: Rc<Vec<usize>>,
     /// Each such edge's target, as an output row.
-    pub edge_dst: Rc<Vec<usize>>,
+    pub(crate) edge_dst: Rc<Vec<usize>>,
 }
 
 impl Field {
@@ -106,7 +108,10 @@ impl Field {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xfraud_hetgraph::{NodeType, ALL_EDGE_TYPES};
+    use crate::sampler::{SageSampler, Sampler};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use xfraud_hetgraph::{GraphBuilder, NodeType, ALL_EDGE_TYPES};
     use xfraud_tensor::Tensor;
 
     /// `n` transactions and the given directed edges.
@@ -187,6 +192,25 @@ mod tests {
         let fields = Field::layers(&b, 1);
         assert_eq!(fields[0].nodes, vec![2, 3]);
         assert_eq!(fields[0].rows_of(&b.targets), vec![0, 1, 0]);
+    }
+
+    #[test]
+    fn a_sampled_batch_is_pruned_on_both_layers() {
+        let mut b = GraphBuilder::new(1);
+        let txns: Vec<usize> = (0..40).map(|_| b.add_txn([1.0], None)).collect();
+        let pmts: Vec<usize> = (0..12).map(|_| b.add_entity(NodeType::Pmt)).collect();
+        for (i, &t) in txns.iter().enumerate() {
+            b.link(t, pmts[i % 12]).unwrap();
+            b.link(t, pmts[(i * 7 + 3) % 12]).unwrap();
+        }
+        let g = b.finish().unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let batch = SageSampler::new(2, 4).sample(&g, &[0, 1], &mut rng);
+        let fields = Field::layers(&batch, 2);
+        assert!(fields[1].edges.len() < fields[0].edges.len());
+        assert!(fields[0].edges.len() < batch.n_edges());
+        assert!(fields[1].nodes.len() < fields[0].nodes.len());
+        assert!(fields[0].nodes.len() < batch.n_nodes());
     }
 
     #[test]

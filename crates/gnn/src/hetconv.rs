@@ -230,9 +230,9 @@ impl HetConvLayer {
     }
 
     /// Forward pass over one receptive field: `h` holds the field's input
-    /// rows (`[n_in, d_in]`); returns its output rows (`[|field.nodes|,
-    /// d_out]`). Only the field's edges are projected, attended and
-    /// aggregated. `edge_mask` is over all batch edges (`[E, 1]`).
+    /// rows (`[n_in, d_in]`); returns its `n'` output rows (`[n', d_out]`).
+    /// Only the field's `E'` edges are projected, attended and aggregated.
+    /// `edge_mask` is over all `E` batch edges (`[E, 1]`).
     #[allow(clippy::too_many_arguments)]
     pub fn forward(
         &self,
@@ -286,9 +286,9 @@ impl HetConvLayer {
 
         let sk = sess.tape.mul(k, att_src);
         let sq = sess.tape.mul(q, att_tgt);
-        let s = sess.tape.add(sk, sq); // [E, d]
+        let s = sess.tape.add(sk, sq); // [E', d]
         let ind = sess.constant(self.head_ind.clone()); // [d, h]
-        let scores = sess.tape.matmul(s, ind); // [E, h]
+        let scores = sess.tape.matmul(s, ind); // [E', h]
         let d_k = (self.d_out / self.heads) as f32;
         let mut scores = sess.tape.scale(scores, 1.0 / d_k.sqrt());
 
@@ -319,7 +319,7 @@ impl HetConvLayer {
 
         // Broadcast each head's α over its value block and weight V.
         let ind_t = sess.constant(self.head_ind_t.clone()); // [h, d]
-        let alpha_blocks = sess.tape.matmul(alpha, ind_t); // [E, d]
+        let alpha_blocks = sess.tape.matmul(alpha, ind_t); // [E', d]
         let mut msg = sess.tape.mul(v, alpha_blocks);
 
         // GNNExplainer hook, part 2: multiplicative damping keeps the

@@ -173,14 +173,3 @@ proptest! {
         }
     }
 }
-
-#[test]
-fn pruning_drops_rows_and_edges_on_a_sampled_batch() {
-    let mut rng = StdRng::seed_from_u64(3);
-    let g = random_graph(&mut rng, 40, 12, 80);
-    let batch = SageSampler::new(2, 4).sample(&g, &[0, 1], &mut rng);
-    let fields = Field::layers(&batch, 2);
-    assert!(fields[1].edges.len() < fields[0].edges.len());
-    assert!(fields[0].edges.len() < batch.n_edges());
-    assert!(fields[1].nodes.len() < fields[0].nodes.len());
-}
