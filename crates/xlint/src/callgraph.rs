@@ -33,6 +33,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::parser::{CallSite, FnItem, ParsedFile};
+use crate::source::SourceFile;
 
 /// A resolved call edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,23 +76,22 @@ struct FileCtx {
 }
 
 impl CallGraph {
-    /// Builds the graph from parsed files. `files` is
-    /// `(workspace-relative path, crate lib name, parsed)` — order
-    /// defines node numbering, so callers pass a sorted collection.
-    pub fn build(files: &[(String, String, ParsedFile)]) -> CallGraph {
+    /// Builds the graph from each file's parse. File order defines node
+    /// numbering, so callers pass a sorted collection.
+    pub fn build(files: &[SourceFile]) -> CallGraph {
         let mut g = CallGraph::default();
 
         // Collect nodes and indices.
-        for (_, crate_name, parsed) in files {
-            for u in &parsed.uses {
+        for sf in files {
+            for u in &sf.parsed.uses {
                 if u.is_reexport && u.leaf != "*" {
                     g.reexports.insert(
-                        (crate_name.clone(), u.leaf.clone()),
+                        (sf.crate_name.clone(), u.leaf.clone()),
                         (u.crate_name.clone(), u.original.clone()),
                     );
                 }
             }
-            for f in &parsed.fns {
+            for f in &sf.parsed.fns {
                 if f.is_test {
                     continue;
                 }
@@ -123,9 +123,9 @@ impl CallGraph {
         // Resolve edges. Walk files again in the same order so node
         // indices line up with the per-file fn sequence.
         let mut node = 0usize;
-        for (_, crate_name, parsed) in files {
-            let ctx = FileCtx::new(crate_name, parsed);
-            for f in &parsed.fns {
+        for sf in files {
+            let ctx = FileCtx::new(&sf.crate_name, &sf.parsed);
+            for f in &sf.parsed.fns {
                 if f.is_test {
                     continue;
                 }
@@ -399,19 +399,20 @@ impl FileCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_file;
-    use crate::source::SourceFile;
     use std::path::Path;
 
+    /// `(path, crate lib name, source)` — the name is derived from the
+    /// path; listing it keeps each fixture readable.
     fn graph(files: &[(&str, &str, &str)]) -> CallGraph {
-        let parsed: Vec<(String, String, ParsedFile)> = files
+        let files: Vec<SourceFile> = files
             .iter()
             .map(|(path, krate, src)| {
                 let sf = SourceFile::from_source(Path::new(path), src);
-                (path.to_string(), krate.to_string(), parse_file(&sf, krate))
+                assert_eq!(sf.crate_name, *krate);
+                sf
             })
             .collect();
-        CallGraph::build(&parsed)
+        CallGraph::build(&files)
     }
 
     fn idx(g: &CallGraph, name: &str) -> usize {

@@ -10,7 +10,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
-/// Which files one rule applies to.
+/// Which files one rule applies to. For the interprocedural rules the
+/// call and lock graphs still span the whole workspace: the scope limits
+/// where findings land, not what the analysis sees.
 #[derive(Debug, Clone, Default)]
 pub struct RuleScope {
     /// Workspace crate names (directory names under `crates/`).
@@ -18,6 +20,25 @@ pub struct RuleScope {
     /// Skip `src/bin/**` (CLI binaries may read env/clock and panic on
     /// usage errors).
     pub skip_bins: bool,
+}
+
+impl RuleScope {
+    /// Does the scope list the crate owning `file` (a workspace-relative
+    /// `crates/<dir>/…` path)?
+    pub fn lists_crate_of(&self, file: &str) -> bool {
+        self.crates.iter().any(|c| c == crate_dir(file))
+    }
+
+    /// May a finding land in `file`?
+    pub fn covers(&self, file: &str) -> bool {
+        self.lists_crate_of(file) && !(self.skip_bins && file.split('/').any(|c| c == "bin"))
+    }
+}
+
+/// The crate directory of a workspace-relative path
+/// (`crates/gnn/src/model.rs` → `gnn`).
+pub fn crate_dir(file: &str) -> &str {
+    file.split('/').nth(1).unwrap_or("")
 }
 
 #[derive(Debug, Default)]

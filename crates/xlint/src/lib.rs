@@ -26,17 +26,13 @@ pub mod rules;
 pub mod source;
 pub mod unsafe_scan;
 
-use std::collections::BTreeMap;
+use std::io::{Error, ErrorKind};
 use std::path::{Path, PathBuf};
 
 use callgraph::CallGraph;
-use config::Config;
+use config::{crate_dir, Config};
 use lockgraph::LockGraph;
-use parser::parse_file;
-use rules::{
-    check_a1, check_a2, check_d1, check_d2, check_d3, check_e1, check_f1, check_l1, check_l2,
-    check_p1, check_u1, check_u2, InterprocScope, Violation,
-};
+use rules::{Check, Violation, RULES};
 use source::SourceFile;
 
 /// A violation that an inline allow directive suppressed — kept for the
@@ -59,108 +55,108 @@ pub struct LintReport {
     pub files_scanned: usize,
 }
 
+/// The model every rule reads: each `.rs` file under `crates/*/src`, read,
+/// lexed and parsed once, plus the call and lock graphs built from those
+/// parses. The graphs span every crate, including ones no rule scopes —
+/// taint sources in `metrics`/`bench` still matter to callers in scoped
+/// crates.
+pub struct Workspace {
+    pub root: PathBuf,
+    /// Directory names under `crates/` that hold a `src/`, sorted.
+    pub crates: Vec<String>,
+    /// Every source file, by crate directory, then path.
+    pub files: Vec<SourceFile>,
+    pub graph: CallGraph,
+    pub locks: LockGraph,
+}
+
+impl Workspace {
+    pub fn load(root: &Path) -> std::io::Result<Workspace> {
+        let crates_dir = root.join("crates");
+        let mut crates: Vec<String> = Vec::new();
+        for entry in std::fs::read_dir(&crates_dir)? {
+            let path = entry?.path();
+            if path.join("src").is_dir() {
+                if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
+                    crates.push(name.to_string());
+                }
+            }
+        }
+        crates.sort();
+        let mut files = Vec::new();
+        for dir in &crates {
+            for rel in rust_files(root, &crates_dir.join(dir).join("src"))? {
+                let src = std::fs::read_to_string(root.join(&rel))?;
+                files.push(SourceFile::from_source(&rel, &src));
+            }
+        }
+        let graph = CallGraph::build(&files);
+        let locks = LockGraph::build(&graph);
+        Ok(Workspace {
+            root: root.to_path_buf(),
+            crates,
+            files,
+            graph,
+            locks,
+        })
+    }
+}
+
 /// Runs every configured rule over the workspace at `root`.
 pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<LintReport> {
-    let mut report = LintReport::default();
-    // Parse each file once, share across rules.
-    let mut cache: BTreeMap<PathBuf, SourceFile> = BTreeMap::new();
-
-    for rule_id in cfg.rules.keys() {
-        if !matches!(
-            rule_id.as_str(),
-            "d1" | "d2" | "p1" | "l1" | "l2" | "d3" | "u1" | "u2" | "a1" | "a2" | "f1" | "e1"
-        ) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("unknown rule `[rules.{rule_id}]` in xlint.toml"),
+    if let Some(id) = cfg
+        .rules
+        .keys()
+        .find(|id| !RULES.iter().any(|(r, _)| r == id))
+    {
+        return Err(Error::new(
+            ErrorKind::InvalidInput,
+            format!("unknown rule `[rules.{id}]` in xlint.toml"),
+        ));
+    }
+    let ws = Workspace::load(root)?;
+    for (id, scope) in &cfg.rules {
+        if let Some(krate) = scope.crates.iter().find(|k| !ws.crates.contains(k)) {
+            return Err(Error::new(
+                ErrorKind::NotFound,
+                format!("xlint.toml scopes rule {id} to missing crate `{krate}`"),
             ));
         }
     }
-    for (rule_id, scope) in &cfg.rules {
-        if matches!(rule_id.as_str(), "l2" | "d3" | "f1" | "u2") {
-            continue; // interprocedural — dispatched over the workspace model below
-        }
-        for krate in &scope.crates {
-            let src_dir = root.join("crates").join(krate).join("src");
-            if !src_dir.is_dir() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::NotFound,
-                    format!("xlint.toml scopes rule {rule_id} to missing crate `{krate}`"),
-                ));
-            }
-            for rel in rust_files(root, &src_dir)? {
-                if scope.skip_bins && rel.components().any(|c| c.as_os_str() == "bin") {
-                    continue;
-                }
-                if !cache.contains_key(&rel) {
-                    cache.insert(rel.clone(), SourceFile::parse(root, &rel)?);
-                }
-                let sf = &cache[&rel];
-                let raw = run_rule(rule_id, sf);
-                for v in raw {
-                    match sf.allowed(v.rule, v.line) {
-                        Some(allow) => report.suppressed.push(Suppressed {
-                            violation: v,
-                            reason: allow.reason.clone(),
-                        }),
-                        None => report.violations.push(v),
-                    }
-                }
-            }
-        }
-    }
-    // Interprocedural phase: build the workspace model once (every crate,
-    // including out-of-scope ones — taint sources in `metrics`/`bench`
-    // still matter to callers in scoped crates), then dispatch L2/D3/F1/U2
-    // over it.
-    let interproc: Vec<&String> = cfg
-        .rules
-        .keys()
-        .filter(|r| matches!(r.as_str(), "l2" | "d3" | "f1" | "u2"))
-        .collect();
-    if !interproc.is_empty() {
-        let model = build_model(root, &mut cache)?;
-        for rule_id in interproc {
-            let scope = &cfg.rules[rule_id];
-            let iscope = InterprocScope {
-                crates: scope.crates.iter().map(|c| lib_name(c)).collect(),
-                skip_bins: scope.skip_bins,
-            };
-            let raw = match rule_id.as_str() {
-                "l2" => check_l2(&model.graph, &model.locks, &iscope),
-                "d3" => check_d3(&model.graph, &model.sources, &iscope),
-                "f1" => check_f1(&model.graph, &iscope),
-                "u2" => check_u2(root, &iscope)?,
-                _ => Vec::new(),
-            };
-            for v in raw {
-                let allow = model
-                    .sources
-                    .get(&v.file)
-                    .and_then(|sf| sf.allowed(v.rule, v.line));
-                match allow {
-                    Some(a) => report.suppressed.push(Suppressed {
-                        violation: v,
-                        reason: a.reason.clone(),
-                    }),
-                    None => report.violations.push(v),
-                }
+    let mut report = LintReport {
+        files_scanned: ws.files.len(),
+        ..LintReport::default()
+    };
+    for (id, check) in RULES {
+        let Some(scope) = cfg.rules.get(*id) else {
+            continue;
+        };
+        let raw: Vec<Violation> = match check {
+            Check::File(check) => scope
+                .crates
+                .iter()
+                .flat_map(|krate| {
+                    ws.files
+                        .iter()
+                        .filter(move |sf| crate_dir(&sf.path) == krate)
+                })
+                .filter(|sf| scope.covers(&sf.path))
+                .flat_map(check)
+                .collect(),
+            Check::Workspace(check) => check(&ws, scope),
+        };
+        for v in raw {
+            let sf = ws.files.iter().find(|sf| sf.path == v.file);
+            match sf.and_then(|sf| sf.allowed(v.rule, v.line)) {
+                Some(allow) => report.suppressed.push(Suppressed {
+                    violation: v,
+                    reason: allow.reason.clone(),
+                }),
+                None => report.violations.push(v),
             }
         }
     }
-    report.files_scanned = cache.len();
     Ok(report)
-}
-
-/// The workspace-level model the interprocedural rules consume. Sources
-/// are borrowed from the driver's parse cache — one parse per file feeds
-/// both the per-file and the interprocedural phases.
-struct Model<'a> {
-    graph: CallGraph,
-    locks: LockGraph,
-    /// Workspace-relative path string → parsed source, for allow-directive
-    /// lookups and D3 taint-root scanning.
-    sources: BTreeMap<String, &'a SourceFile>,
 }
 
 /// Maps a crate *directory* name (as used in `xlint.toml` scopes) to the
@@ -174,84 +170,9 @@ pub fn lib_name(dir: &str) -> String {
     }
 }
 
-fn build_model<'a>(
-    root: &Path,
-    cache: &'a mut BTreeMap<PathBuf, SourceFile>,
-) -> std::io::Result<Model<'a>> {
-    let crates_dir = root.join("crates");
-    let mut dirs: Vec<String> = Vec::new();
-    for entry in std::fs::read_dir(&crates_dir)? {
-        let path = entry?.path();
-        if path.join("src").is_dir() {
-            if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
-                dirs.push(name.to_string());
-            }
-        }
-    }
-    dirs.sort();
-    let mut rels: Vec<(PathBuf, String)> = Vec::new();
-    for dir in &dirs {
-        let krate = lib_name(dir);
-        for rel in rust_files(root, &crates_dir.join(dir).join("src"))? {
-            rels.push((rel, krate.clone()));
-        }
-    }
-    for (rel, _) in &rels {
-        if !cache.contains_key(rel) {
-            let sf = SourceFile::parse(root, rel)?;
-            cache.insert(rel.clone(), sf);
-        }
-    }
-    let cache: &'a BTreeMap<PathBuf, SourceFile> = cache;
-    let parsed: Vec<(String, String, parser::ParsedFile)> = rels
-        .iter()
-        .map(|(rel, krate)| {
-            (
-                rel.display().to_string(),
-                krate.clone(),
-                parse_file(&cache[rel], krate),
-            )
-        })
-        .collect();
-    let graph = CallGraph::build(&parsed);
-    let locks = LockGraph::build(&graph);
-    let sources = rels
-        .iter()
-        .map(|(rel, _)| (rel.display().to_string(), &cache[rel]))
-        .collect();
-    Ok(Model {
-        graph,
-        locks,
-        sources,
-    })
-}
-
-/// Builds the whole-workspace call and lock graphs (for `--graph` DOT
-/// output and the slow graph-shape tests).
-pub fn build_graphs(root: &Path) -> std::io::Result<(CallGraph, LockGraph)> {
-    let mut cache = BTreeMap::new();
-    let model = build_model(root, &mut cache)?;
-    Ok((model.graph, model.locks))
-}
-
-fn run_rule(rule_id: &str, sf: &SourceFile) -> Vec<Violation> {
-    match rule_id {
-        "d1" => check_d1(sf),
-        "d2" => check_d2(sf),
-        "p1" => check_p1(sf),
-        "l1" => check_l1(sf),
-        "u1" => check_u1(sf),
-        "a1" => check_a1(sf),
-        "a2" => check_a2(sf),
-        "e1" => check_e1(sf),
-        // lint_workspace validated rule ids before dispatching.
-        _ => Vec::new(),
-    }
-}
-
 /// All `.rs` files under `dir`, workspace-relative, sorted for stable
 /// output.
-pub(crate) fn rust_files(root: &Path, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+fn rust_files(root: &Path, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {

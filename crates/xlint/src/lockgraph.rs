@@ -12,7 +12,7 @@
 //!   and `g` (transitively, through any number of calls) acquires `B`.
 //!   The transitive lock set of every function is a fixpoint over the
 //!   call graph, so the edge exists even when the two acquisitions are
-//!   crates apart — exactly the case token-level rule L1 cannot see.
+//!   crates apart — exactly the case the per-file rule L1 cannot see.
 //!
 //! Cycle reporting is SCC-based: every strongly connected component
 //! with at least one internal edge yields one witness cycle (smallest
@@ -348,19 +348,20 @@ fn tarjan_scc(n: usize, adj: &[Vec<(usize, usize)>]) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::callgraph::CallGraph;
-    use crate::parser::{parse_file, ParsedFile};
     use crate::source::SourceFile;
     use std::path::Path;
 
+    /// `(path, crate lib name, source)`, as in the call-graph tests.
     fn lockgraph(files: &[(&str, &str, &str)]) -> LockGraph {
-        let parsed: Vec<(String, String, ParsedFile)> = files
+        let files: Vec<SourceFile> = files
             .iter()
             .map(|(path, krate, src)| {
                 let sf = SourceFile::from_source(Path::new(path), src);
-                (path.to_string(), krate.to_string(), parse_file(&sf, krate))
+                assert_eq!(sf.crate_name, *krate);
+                sf
             })
             .collect();
-        LockGraph::build(&CallGraph::build(&parsed))
+        LockGraph::build(&CallGraph::build(&files))
     }
 
     #[test]

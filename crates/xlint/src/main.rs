@@ -4,7 +4,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use xlint::config::Config;
-use xlint::{build_graphs, find_root, lint_workspace};
+use xlint::unsafe_scan::{inventory, render_markdown};
+use xlint::{find_root, lint_workspace, Workspace};
 
 const USAGE: &str = "\
 xlint — workspace lint pass for determinism, panic-safety and lock discipline
@@ -56,28 +57,17 @@ fn main() -> ExitCode {
     };
 
     if let Some(which) = graph {
-        if which == "unsafe" {
-            return match xlint::unsafe_scan::workspace_sites(&root) {
-                Ok(sites) => {
-                    print!("{}", xlint::unsafe_scan::render_markdown(&sites));
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("xlint: {e}");
-                    ExitCode::from(2)
-                }
-            };
-        }
-        let (cg, lg) = match build_graphs(&root) {
-            Ok(g) => g,
+        let ws = match Workspace::load(&root) {
+            Ok(ws) => ws,
             Err(e) => {
                 eprintln!("xlint: {e}");
                 return ExitCode::from(2);
             }
         };
         match which.as_str() {
-            "call" => print!("{}", cg.to_dot()),
-            _ => print!("{}", lg.to_dot()),
+            "call" => print!("{}", ws.graph.to_dot()),
+            "lock" => print!("{}", ws.locks.to_dot()),
+            _ => print!("{}", render_markdown(&inventory(&ws.files))),
         }
         return ExitCode::SUCCESS;
     }

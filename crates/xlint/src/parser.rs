@@ -1,6 +1,9 @@
 //! A lightweight item parser on top of [`crate::lexer`]: extracts the
-//! functions, impl blocks, `use` declarations, call sites and lock
-//! acquisitions the interprocedural rules (L2/D3/F1) consume.
+//! functions, impl blocks, `use` declarations, call sites, lock
+//! acquisitions and atomic operations. Each [`SourceFile`] is parsed
+//! once, when it is built, and every rule reads that one parse: the
+//! per-file rules L1/U1/A1/A2 directly, L2/D3/F1/U2 through the
+//! workspace call and lock graphs.
 //!
 //! This is *not* a Rust parser — it is a structural scan over the token
 //! stream that recovers exactly the facts the call/lock graphs need:
@@ -11,9 +14,10 @@
 //!   `xfraud_gnn::predict_scores`, `Self::add_budget`) or a method call
 //!   (`.score(…)`);
 //! * every lock acquisition (`.lock()` / `.read()` / `.write()` with an
-//!   empty argument list — the same shape rule L1 matches) with a
-//!   canonical lock identity and the set of locks already held when it
-//!   happens;
+//!   empty argument list) with a canonical lock identity, the `let`
+//!   binding holding its guard, and the set of locks already held when
+//!   it happens;
+//! * every atomic operation with literal `Ordering::X` arguments;
 //! * every `use` declaration that imports from a workspace crate, with
 //!   renames and `pub use` re-exports preserved (re-exports are how
 //!   determinism taint crosses crates without a direct dependency edge).
@@ -52,6 +56,8 @@ pub struct FnItem {
     /// Durability-relevant file operations (fsync / rename) in body
     /// order, on the same token-index timeline as `calls[].seq`.
     pub fs_events: Vec<FsEvent>,
+    /// Atomic operations with literal orderings, in body order.
+    pub atomics: Vec<AtomicOp>,
 }
 
 /// A call made inside a function body.
@@ -93,16 +99,36 @@ pub enum FsEventKind {
     Rename,
 }
 
+/// An atomic operation inside a function body whose arguments carry
+/// `Ordering::X` literals (rules A1/A2). The literal is the gate that
+/// keeps `.load(key)` on a non-atomic receiver out; orderings passed
+/// through variables are not recognised.
+#[derive(Debug, Clone)]
+pub struct AtomicOp {
+    /// Field identity (`self.epoch`, `fn.local`), named like a lock's.
+    pub field: String,
+    /// `load`, `store`, `swap`, `fetch_*` or `compare_exchange[_weak]`.
+    pub method: String,
+    /// `Ordering::X` literals in argument order.
+    pub orderings: Vec<String>,
+    pub line: u32,
+}
+
 /// One lock acquisition inside a function body.
 #[derive(Debug, Clone)]
 pub struct LockSite {
-    /// Canonical lock identity: `crate::Type.field` for `self.field`
+    /// Canonical lock identity: `crate::self.field` for `self.field`
     /// receivers, `crate::fn.var` for locals (fn-scoped so unrelated
     /// locals never alias).
     pub id: String,
     /// `lock`, `read` or `write`.
     pub op: String,
     pub line: u32,
+    /// Token index of the lock method, on the [`CallSite::seq`] timeline.
+    pub seq: u32,
+    /// Name of the `let` binding holding the guard; `None` for a
+    /// temporary guard, which dies with its statement.
+    pub guard: Option<String>,
     /// Locks (indices into the same `locks` vec) already held here —
     /// each pair is a direct lock-order edge.
     pub under_locks: Vec<usize>,
@@ -120,6 +146,9 @@ pub struct UseItem {
     pub crate_name: String,
     /// `pub use` — the importing crate re-exports this name.
     pub is_reexport: bool,
+    /// A `crate::…` / `self::…` / `super::…` path: the importing crate's
+    /// own item, not an import from another workspace crate.
+    pub is_local: bool,
 }
 
 /// Parser output for one file.
@@ -127,6 +156,15 @@ pub struct UseItem {
 pub struct ParsedFile {
     pub fns: Vec<FnItem>,
     pub uses: Vec<UseItem>,
+}
+
+/// Index of the innermost fn in `fns` whose span in `file` covers `line`.
+pub fn enclosing_fn(fns: &[FnItem], file: &str, line: u32) -> Option<usize> {
+    fns.iter()
+        .enumerate()
+        .filter(|(_, f)| f.file == file && f.line <= line && line <= f.end_line)
+        .max_by_key(|(_, f)| f.line)
+        .map(|(i, _)| i)
 }
 
 /// Keywords that can look like call heads but never are.
@@ -141,6 +179,27 @@ const CALL_KEYWORDS: &[&str] = &[
 const FN_QUALIFIERS: &[&str] = &["pub", "const", "unsafe", "async", "extern", "default"];
 
 const LOCK_METHODS: &[&str] = &["lock", "read", "write"];
+
+/// Atomic methods rules A1/A2 read: `load`, the store-side ops taking one
+/// ordering, and the compare-exchange family taking `(success, failure)`.
+const ATOMIC_METHODS: &[&str] = &[
+    "load",
+    "store",
+    "swap",
+    "fetch_add",
+    "fetch_sub",
+    "fetch_and",
+    "fetch_or",
+    "fetch_xor",
+    "fetch_nand",
+    "fetch_max",
+    "fetch_min",
+    "compare_exchange",
+    "compare_exchange_weak",
+    "fetch_update",
+];
+
+const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
 /// Method names that force bytes to stable storage (rule F1's "sync"
 /// events).
@@ -273,14 +332,15 @@ const METHOD_DENYLIST: &[&str] = &[
     "is_err",
 ];
 
-/// Parses one file into items. `crate_name` is the owning crate's lib
-/// name; it prefixes lock identities and resolves `crate::`/`self::`
-/// call paths.
-pub fn parse_file(sf: &SourceFile, crate_name: &str) -> ParsedFile {
+/// Parses one file into items. The owning crate's lib name
+/// (`sf.crate_name`) prefixes lock identities and resolves
+/// `crate::`/`self::` call paths. [`SourceFile::from_source`] is the one
+/// caller, so each file is parsed exactly once.
+pub(crate) fn parse_file(sf: &SourceFile) -> ParsedFile {
     let toks = &sf.tokens;
     let mut out = ParsedFile {
         fns: Vec::new(),
-        uses: collect_uses(toks, crate_name),
+        uses: collect_uses(toks, &sf.crate_name),
     };
 
     // Stack of open `impl`/`trait` blocks: (self-type leaf, depth of the
@@ -312,7 +372,7 @@ pub fn parse_file(sf: &SourceFile, crate_name: &str) -> ParsedFile {
             && t.text == "fn"
             && toks.get(i + 1).map(|n| n.kind) == Some(TokenKind::Ident)
         {
-            let (item, next) = parse_fn(sf, crate_name, &type_stack, i);
+            let (item, next) = parse_fn(sf, &type_stack, i);
             out.fns.push(item);
             i = next;
             continue;
@@ -394,12 +454,7 @@ fn parse_impl_header(toks: &[Token], i: usize, is_trait: bool) -> Option<(String
 /// the index scanning should resume from (past the body, so nested fns
 /// and closures attribute their calls to the enclosing item exactly
 /// once).
-fn parse_fn(
-    sf: &SourceFile,
-    crate_name: &str,
-    type_stack: &[(String, u32)],
-    i: usize,
-) -> (FnItem, usize) {
+fn parse_fn(sf: &SourceFile, type_stack: &[(String, u32)], i: usize) -> (FnItem, usize) {
     let toks = &sf.tokens;
     let name = toks[i + 1].text.clone();
     let impl_type = type_stack.last().map(|(t, _)| t.clone());
@@ -446,20 +501,21 @@ fn parse_fn(
         None => (toks[i].line, j + 1),
     };
     let mut item = FnItem {
-        crate_name: crate_name.to_string(),
+        crate_name: sf.crate_name.clone(),
         name,
         impl_type,
         is_pub,
         is_test,
-        file: sf.rel_path.display().to_string(),
+        file: sf.path.clone(),
         line: toks[i].line,
         end_line,
         calls: Vec::new(),
         locks: Vec::new(),
         fs_events: Vec::new(),
+        atomics: Vec::new(),
     };
     if let Some((open, close)) = body {
-        scan_body(sf, crate_name, &mut item, open, close);
+        scan_body(sf, &mut item, open, close);
     }
     (item, next)
 }
@@ -487,13 +543,15 @@ fn fn_is_pub(toks: &[Token], i: usize) -> bool {
     false
 }
 
-/// Scans a fn body (token range `open..=close`) for call sites and lock
-/// acquisitions, then computes which guards are live at each.
-fn scan_body(sf: &SourceFile, crate_name: &str, item: &mut FnItem, open: usize, close: usize) {
+/// Scans a fn body (token range `open..=close`) for call sites, lock
+/// acquisitions, fs events and atomic operations, then computes which
+/// guards are live at each call and acquisition.
+fn scan_body(sf: &SourceFile, item: &mut FnItem, open: usize, close: usize) {
     let toks = &sf.tokens;
-    // (site, token index) pairs; liveness is resolved afterwards.
-    let mut calls: Vec<(CallSite, usize)> = Vec::new();
-    let mut locks: Vec<(LockSite, usize, usize)> = Vec::new(); // (site, tok, live_end)
+    // Liveness is resolved afterwards, from each guard's live end (an
+    // inclusive token index).
+    let mut calls: Vec<CallSite> = Vec::new();
+    let mut locks: Vec<(LockSite, usize)> = Vec::new();
 
     let mut j = open + 1;
     while j < close {
@@ -510,17 +568,17 @@ fn scan_body(sf: &SourceFile, crate_name: &str, item: &mut FnItem, open: usize, 
             && toks.get(j + 1).is_some_and(|n| n.text == "(")
             && toks.get(j + 2).is_some_and(|n| n.text == ")")
         {
-            let receiver = receiver_chain(toks, j - 1);
-            let id = lock_identity(crate_name, item, &receiver);
-            let live_end = guard_live_end(toks, j, close);
+            let receiver = receiver_identity(&item.name, &receiver_chain(toks, j - 1));
+            let (guard, live_end) = guard_scope(toks, j, close);
             locks.push((
                 LockSite {
-                    id,
+                    id: format!("{}::{receiver}", sf.crate_name),
                     op: t.text.clone(),
                     line: t.line,
+                    seq: j as u32,
+                    guard: guard.map(|g| toks[g].text.clone()),
                     under_locks: Vec::new(),
                 },
-                j,
                 live_end,
             ));
             j += 3;
@@ -551,17 +609,25 @@ fn scan_body(sf: &SourceFile, crate_name: &str, item: &mut FnItem, open: usize, 
                     seq: (j + 1) as u32,
                 });
             }
-            if !METHOD_DENYLIST.contains(&name.as_str()) {
-                calls.push((
-                    CallSite {
-                        path: vec![name.clone()],
-                        is_method: true,
+            if ATOMIC_METHODS.contains(&name.as_str()) {
+                let orderings = ordering_literals(toks, j + 2);
+                if !orderings.is_empty() {
+                    item.atomics.push(AtomicOp {
+                        field: receiver_identity(&item.name, &receiver_chain(toks, j)),
+                        method: name.clone(),
+                        orderings,
                         line: toks[j + 1].line,
-                        seq: (j + 1) as u32,
-                        under_locks: Vec::new(),
-                    },
-                    j + 1,
-                ));
+                    });
+                }
+            }
+            if !METHOD_DENYLIST.contains(&name.as_str()) {
+                calls.push(CallSite {
+                    path: vec![name.clone()],
+                    is_method: true,
+                    line: toks[j + 1].line,
+                    seq: (j + 1) as u32,
+                    under_locks: Vec::new(),
+                });
             }
             j += 2;
             continue;
@@ -586,16 +652,13 @@ fn scan_body(sf: &SourceFile, crate_name: &str, item: &mut FnItem, open: usize, 
                         seq: j as u32,
                     });
                 }
-                calls.push((
-                    CallSite {
-                        path,
-                        is_method: false,
-                        line: t.line,
-                        seq: j as u32,
-                        under_locks: Vec::new(),
-                    },
-                    j,
-                ));
+                calls.push(CallSite {
+                    path,
+                    is_method: false,
+                    line: t.line,
+                    seq: j as u32,
+                    under_locks: Vec::new(),
+                });
                 j = after;
                 continue;
             }
@@ -605,26 +668,52 @@ fn scan_body(sf: &SourceFile, crate_name: &str, item: &mut FnItem, open: usize, 
 
     // Liveness: a guard covers tokens strictly after its acquisition up
     // to (and including) its live end.
-    let lock_ranges: Vec<(usize, usize)> = locks.iter().map(|(_, lt, le)| (*lt, *le)).collect();
-    for (call, ct) in calls.iter_mut() {
-        call.under_locks = lock_ranges
+    let held_at = |seq: u32, except: Option<usize>| -> Vec<usize> {
+        locks
             .iter()
             .enumerate()
-            .filter(|(_, (lt, le))| lt < ct && *ct <= *le)
+            .filter(|&(li, (l, end))| Some(li) != except && l.seq < seq && seq as usize <= *end)
             .map(|(li, _)| li)
-            .collect();
+            .collect()
+    };
+    for call in calls.iter_mut() {
+        call.under_locks = held_at(call.seq, None);
     }
-    for li in 0..locks.len() {
-        let lt = lock_ranges[li].0;
-        locks[li].0.under_locks = lock_ranges
-            .iter()
-            .enumerate()
-            .filter(|(oi, (ot, oe))| *oi != li && *ot < lt && lt <= *oe)
-            .map(|(oi, _)| oi)
-            .collect();
+    let nested: Vec<Vec<usize>> = (0..locks.len())
+        .map(|li| held_at(locks[li].0.seq, Some(li)))
+        .collect();
+    for ((lock, _), held) in locks.iter_mut().zip(nested) {
+        lock.under_locks = held;
     }
-    item.calls = calls.into_iter().map(|(c, _)| c).collect();
-    item.locks = locks.into_iter().map(|(l, _, _)| l).collect();
+    item.calls = calls;
+    item.locks = locks.into_iter().map(|(l, _)| l).collect();
+}
+
+/// `Ordering::X` literals inside the argument group opening at `open`.
+fn ordering_literals(toks: &[Token], open: usize) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut depth = 0i32;
+    for k in open..toks.len() {
+        match toks[k].text.as_str() {
+            "(" => depth += 1,
+            ")" => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            o if toks[k].kind == TokenKind::Ident
+                && ORDERINGS.contains(&o)
+                && k >= 2
+                && toks[k - 1].text == ":"
+                && toks[k - 2].text == ":" =>
+            {
+                out.push(o.to_string());
+            }
+            _ => {}
+        }
+    }
+    out
 }
 
 /// Collects the path of a potential call starting at ident `j`.
@@ -682,7 +771,7 @@ fn collect_call_path(toks: &[Token], j: usize) -> Option<(Vec<String>, usize)> {
 /// producing the ident chain (`["self", "shards"]`;
 /// `["self", "shard_of()"]` for a call-returning receiver). Bracket and
 /// paren groups are skipped; a call becomes `name()`.
-pub(crate) fn receiver_chain(toks: &[Token], dot: usize) -> Vec<String> {
+fn receiver_chain(toks: &[Token], dot: usize) -> Vec<String> {
     let mut chain: Vec<String> = Vec::new();
     let mut k = dot as isize - 1;
     while k >= 0 {
@@ -739,31 +828,29 @@ fn skip_group_back(toks: &[Token], close_at: isize, open: &str, close: &str) -> 
     -1
 }
 
-/// Canonical lock identity. `self`-rooted receivers are named by the
-/// *final field segment* only (`crate::self.field`) so the same lock
-/// reached through different projections aliases correctly —
-/// `self.graph` inside the owning type and `self.shared.graph` from its
-/// wrapper are one lock, and splitting them would hide a cycle. This
-/// over-aliases two same-named fields on different types in one crate
-/// (the safe direction for deadlock detection: a false cycle is
-/// reviewable, a missed one is not). Anything not `self`-rooted is
-/// scoped to the function (`crate::fn.var`) so unrelated locals never
-/// alias.
-fn lock_identity(crate_name: &str, item: &FnItem, receiver: &[String]) -> String {
-    if receiver.first().is_some_and(|s| s == "self") && receiver.len() >= 2 {
-        let field = receiver.last().expect("len >= 2");
-        format!("{crate_name}::self.{field}")
-    } else if receiver.is_empty() {
-        format!("{crate_name}::{}.<expr>", item.name)
-    } else {
-        format!("{crate_name}::{}.{}", item.name, receiver.join("."))
+/// Identity of the receiver a lock or atomic method is called on.
+/// `self`-rooted receivers are named by the *final field segment* only
+/// (`self.field`) so the same lock reached through different projections
+/// aliases correctly — `self.graph` inside the owning type and
+/// `self.shared.graph` from its wrapper are one lock, and splitting them
+/// would hide a cycle. This over-aliases two same-named fields on
+/// different types in one crate (the safe direction for deadlock
+/// detection: a false cycle is reviewable, a missed one is not). Anything
+/// not `self`-rooted is scoped to the function (`fn.var`) so unrelated
+/// locals never alias.
+fn receiver_identity(fn_name: &str, receiver: &[String]) -> String {
+    match receiver {
+        [first, .., field] if first == "self" => format!("self.{field}"),
+        [] => format!("{fn_name}.<expr>"),
+        _ => format!("{fn_name}.{}", receiver.join(".")),
     }
 }
 
-/// Where the guard acquired at token `j` dies: `drop(name)` or the end
-/// of the enclosing block for `let`-bound guards, end of statement for
-/// temporaries. Returns a token index (inclusive live end).
-fn guard_live_end(toks: &[Token], j: usize, body_close: usize) -> usize {
+/// The guard acquired at token `j`: the token index of the `let` name
+/// holding it (`None` for a temporary) and where it dies — `drop(name)`
+/// or the end of the enclosing block for `let`-bound guards, end of
+/// statement for temporaries (an inclusive token index).
+fn guard_scope(toks: &[Token], j: usize, body_close: usize) -> (Option<usize>, usize) {
     // `let x = m.lock().something();` — the guard is a *temporary*
     // consumed by the chained call; only the call's result is bound, so
     // the lock is released at the semicolon. (`unwrap`/`expect` chains
@@ -777,44 +864,32 @@ fn guard_live_end(toks: &[Token], j: usize, body_close: usize) -> usize {
     } else {
         enclosing_let(toks, j)
     };
-    if let Some((name_idx, stmt_end)) = binding {
-        let name = &toks[name_idx].text;
-        let let_depth = toks[stmt_end].brace_depth;
-        let mut k = stmt_end + 1;
-        while k < body_close {
-            // The first `}` at the let's own depth closes the guard's
-            // block (inner blocks sit at depth+1, so they never match).
-            if toks[k].text == "}" && toks[k].brace_depth == let_depth {
-                return k;
-            }
-            if toks[k].text == "drop"
-                && toks.get(k + 1).is_some_and(|t| t.text == "(")
-                && toks.get(k + 2).is_some_and(|t| &t.text == name)
-                && toks.get(k + 3).is_some_and(|t| t.text == ")")
-            {
-                return k;
-            }
-            k += 1;
-        }
-        body_close
-    } else {
+    let Some((name_idx, stmt_end)) = binding else {
         // Temporary guard: lives to the end of the statement.
         let depth = toks[j].brace_depth;
-        let mut k = j + 1;
-        while k < body_close {
-            if toks[k].text == ";" && toks[k].brace_depth <= depth {
-                return k;
-            }
-            k += 1;
-        }
-        body_close
-    }
+        let end = (j + 1..body_close)
+            .find(|&k| toks[k].text == ";" && toks[k].brace_depth <= depth)
+            .unwrap_or(body_close);
+        return (None, end);
+    };
+    let name = &toks[name_idx].text;
+    let let_depth = toks[stmt_end].brace_depth;
+    let end = (stmt_end + 1..body_close)
+        .find(|&k| {
+            // The first `}` at the let's own depth closes the guard's
+            // block (inner blocks sit at depth+1, so they never match).
+            (toks[k].text == "}" && toks[k].brace_depth == let_depth)
+                || (toks[k].text == "drop"
+                    && toks.get(k + 1).is_some_and(|t| t.text == "(")
+                    && toks.get(k + 2).is_some_and(|t| &t.text == name)
+                    && toks.get(k + 3).is_some_and(|t| t.text == ")"))
+        })
+        .unwrap_or(body_close);
+    (Some(name_idx), end)
 }
 
 /// If the expression containing token `i` is bound by a simple
 /// `let [mut] name = …;`, returns `(name index, ';' index)`.
-/// (Shared shape with rule L1's scan; duplicated because the rule keeps
-/// its own self-contained token walk.)
 fn enclosing_let(toks: &[Token], i: usize) -> Option<(usize, usize)> {
     let depth = toks[i].brace_depth;
     let mut j = i;
@@ -877,12 +952,20 @@ fn collect_uses(toks: &[Token], crate_name: &str) -> Vec<UseItem> {
 
         // Source crate: first path segment.
         let Some(first) = decl.first() else { continue };
+        let is_local = matches!(first.text.as_str(), "crate" | "self" | "super");
         let src_crate = if first.text.starts_with("xfraud") {
             first.text.clone()
-        } else if first.text == "crate" || first.text == "self" || first.text == "super" {
+        } else if is_local {
             crate_name.to_string()
         } else {
             continue; // std / shim dependency — irrelevant to the graphs
+        };
+        let use_item = |leaf: &str, original: &str| UseItem {
+            leaf: leaf.to_string(),
+            original: original.to_string(),
+            crate_name: src_crate.clone(),
+            is_reexport,
+            is_local,
         };
 
         // Walk the declaration: an ident is a *leaf* unless followed by
@@ -893,12 +976,7 @@ fn collect_uses(toks: &[Token], crate_name: &str) -> Vec<UseItem> {
             let followed_by_path = decl.get(k + 1).is_some_and(|n| n.text == ":")
                 && decl.get(k + 2).is_some_and(|n| n.text == ":");
             if t.text == "*" {
-                out.push(UseItem {
-                    leaf: "*".into(),
-                    original: "*".into(),
-                    crate_name: src_crate.clone(),
-                    is_reexport,
-                });
+                out.push(use_item("*", "*"));
                 k += 1;
                 continue;
             }
@@ -906,23 +984,13 @@ fn collect_uses(toks: &[Token], crate_name: &str) -> Vec<UseItem> {
                 if decl.get(k + 1).is_some_and(|n| n.text == "as")
                     && decl.get(k + 2).map(|n| n.kind) == Some(TokenKind::Ident)
                 {
-                    out.push(UseItem {
-                        leaf: decl[k + 2].text.clone(),
-                        original: t.text.clone(),
-                        crate_name: src_crate.clone(),
-                        is_reexport,
-                    });
+                    out.push(use_item(&decl[k + 2].text, &t.text));
                     k += 3;
                     continue;
                 }
                 // Skip the path-head crate ident itself (`use xfraud_gnn;`
                 // still records it as a leaf so bare-crate calls resolve).
-                out.push(UseItem {
-                    leaf: t.text.clone(),
-                    original: t.text.clone(),
-                    crate_name: src_crate.clone(),
-                    is_reexport,
-                });
+                out.push(use_item(&t.text, &t.text));
             }
             k += 1;
         }
@@ -936,8 +1004,7 @@ mod tests {
     use std::path::Path;
 
     fn parse(src: &str) -> ParsedFile {
-        let sf = SourceFile::from_source(Path::new("crates/demo/src/lib.rs"), src);
-        parse_file(&sf, "xfraud_demo")
+        SourceFile::from_source(Path::new("crates/demo/src/lib.rs"), src).parsed
     }
 
     #[test]

@@ -30,63 +30,36 @@
 //! under-approximate, so every finding is real enough to review; the
 //! sanitizer CI matrix (Miri/TSan) covers the dynamic remainder.
 
-use super::{is_punct, Violation};
-use crate::lexer::TokenKind;
-use crate::parser::{parse_file, receiver_chain};
+use super::Violation;
+use crate::parser::AtomicOp;
 use crate::source::SourceFile;
 
-/// Store-side atomics taking a single ordering that governs the write.
-/// `store`/`swap` are publish-shaped and always held to A1; the
-/// `fetch_*` arithmetic RMWs are counter-shaped and only held to A1 when
-/// the field is also accessed with a synchronizing ordering.
-const RMW_METHODS: &[&str] = &[
-    "store",
-    "swap",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_nand",
-    "fetch_max",
-    "fetch_min",
-];
-/// Store-side atomics taking `(success/set, failure/fetch)` orderings —
-/// only the *first* governs the write.
-const CMPXCHG_METHODS: &[&str] = &["compare_exchange", "compare_exchange_weak", "fetch_update"];
-
-const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-
-/// One recognised atomic operation.
-struct AtomicSite {
-    /// Per-file field identity (`self.epoch`, `f.local`).
-    field: String,
-    method: String,
-    /// `Ordering::X` literals in argument order.
-    orderings: Vec<String>,
-    line: u32,
-    /// Enclosing fn name (A1's "how many fns touch this field" count).
-    fn_name: String,
+/// One atomic operation from the file's parse, with its enclosing fn.
+struct AtomicSite<'a> {
+    op: &'a AtomicOp,
+    /// A1's "how many fns touch this field" count.
+    fn_name: &'a str,
 }
 
-impl AtomicSite {
+impl AtomicSite<'_> {
     fn is_load(&self) -> bool {
-        self.method == "load"
+        self.op.method == "load"
     }
 
-    /// The ordering governing the write, for store-side ops.
+    /// The ordering governing the write, for store-side ops (only the
+    /// *first* ordering of a compare-exchange governs the write).
     fn store_ordering(&self) -> Option<&str> {
         if self.is_load() {
             return None;
         }
-        self.orderings.first().map(String::as_str)
+        self.op.orderings.first().map(String::as_str)
     }
 
     fn load_ordering(&self) -> Option<&str> {
         if !self.is_load() {
             return None;
         }
-        self.orderings.first().map(String::as_str)
+        self.op.orderings.first().map(String::as_str)
     }
 }
 
@@ -94,94 +67,29 @@ fn is_sync(ordering: &str) -> bool {
     matches!(ordering, "Acquire" | "Release" | "AcqRel" | "SeqCst")
 }
 
-/// Scans `sf` for atomic operations with explicit `Ordering::X`
-/// arguments. The ordering literal requirement is the gate that keeps
-/// `.load(key)` on a non-atomic receiver out.
-fn collect_sites(sf: &SourceFile) -> Vec<AtomicSite> {
-    let toks = &sf.tokens;
-    let parsed = parse_file(sf, "crate");
-    let mut out = Vec::new();
-    for j in 0..toks.len() {
-        if sf.test_mask[j] || toks[j].text != "." {
-            continue;
-        }
-        let Some(name) = toks.get(j + 1) else {
-            continue;
-        };
-        let method = name.text.as_str();
-        if name.kind != TokenKind::Ident
-            || !(method == "load"
-                || RMW_METHODS.contains(&method)
-                || CMPXCHG_METHODS.contains(&method))
-            || toks.get(j + 2).is_none_or(|t| t.text != "(")
-        {
-            continue;
-        }
-        // Walk the argument group collecting `Ordering::X` literals.
-        let mut orderings = Vec::new();
-        let mut depth = 0i32;
-        let mut k = j + 2;
-        while k < toks.len() {
-            match toks[k].text.as_str() {
-                "(" => depth += 1,
-                ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {
-                    if toks[k].kind == TokenKind::Ident
-                        && ORDERINGS.contains(&toks[k].text.as_str())
-                        && k >= 2
-                        && is_punct(toks, k - 1, ":")
-                        && is_punct(toks, k - 2, ":")
-                    {
-                        orderings.push(toks[k].text.clone());
-                    }
-                }
-            }
-            k += 1;
-        }
-        if orderings.is_empty() {
-            continue; // not an atomic op (or ordering not literal) — skip
-        }
-        let line = name.line;
-        let fn_name = parsed
-            .fns
-            .iter()
-            .filter(|f| f.line <= line && line <= f.end_line)
-            .max_by_key(|f| f.line)
-            .map(|f| f.name.clone())
-            .unwrap_or_else(|| "<module scope>".into());
-        let chain = receiver_chain(toks, j);
-        let field = if chain.first().is_some_and(|s| s == "self") && chain.len() >= 2 {
-            format!("self.{}", chain.last().expect("len >= 2"))
-        } else if chain.is_empty() {
-            format!("{fn_name}.<expr>")
-        } else {
-            format!("{fn_name}.{}", chain.join("."))
-        };
-        out.push(AtomicSite {
-            field,
-            method: method.to_string(),
-            orderings,
-            line,
-            fn_name,
-        });
-    }
-    out
+/// The file's atomic operations in source order, read off its one parse.
+fn sites(sf: &SourceFile) -> Vec<AtomicSite<'_>> {
+    sf.parsed
+        .fns
+        .iter()
+        .flat_map(|f| {
+            f.atomics.iter().map(|op| AtomicSite {
+                op,
+                fn_name: &f.name,
+            })
+        })
+        .collect()
 }
 
 pub fn check_a1(sf: &SourceFile) -> Vec<Violation> {
-    let sites = collect_sites(sf);
+    let sites = sites(sf);
     let mut out = Vec::new();
     for s in &sites {
         if s.store_ordering() != Some("Relaxed") {
             continue;
         }
-        let peers: Vec<&AtomicSite> = sites.iter().filter(|o| o.field == s.field).collect();
-        let mut fns: Vec<&str> = peers.iter().map(|o| o.fn_name.as_str()).collect();
+        let peers: Vec<&AtomicSite> = sites.iter().filter(|o| o.op.field == s.op.field).collect();
+        let mut fns: Vec<&str> = peers.iter().map(|o| o.fn_name).collect();
         fns.sort_unstable();
         fns.dedup();
         if fns.len() < 2 {
@@ -189,22 +97,22 @@ pub fn check_a1(sf: &SourceFile) -> Vec<Violation> {
         }
         // Counter-shaped RMWs stay Relaxed unless the field is a
         // synchronization point (some site acquires/releases on it).
-        let counter_shaped = s.method.starts_with("fetch_") && s.method != "fetch_update";
+        let counter_shaped = s.op.method.starts_with("fetch_") && s.op.method != "fetch_update";
         let field_synchronizes = peers
             .iter()
-            .any(|o| o.orderings.iter().any(|ord| is_sync(ord)));
+            .any(|o| o.op.orderings.iter().any(|ord| is_sync(ord)));
         if counter_shaped && !field_synchronizes {
             continue;
         }
         out.push(Violation::new(
             "A1",
             sf,
-            s.line,
+            s.op.line,
             format!(
                 "Relaxed `{}` on atomic `{}` (touched by {}) publishes with no release fence — \
                  use Release/AcqRel, or add an audited allow for a pure statistics counter",
-                s.method,
-                s.field,
+                s.op.method,
+                s.op.field,
                 fns.join(", "),
             ),
         ));
@@ -213,19 +121,19 @@ pub fn check_a1(sf: &SourceFile) -> Vec<Violation> {
 }
 
 pub fn check_a2(sf: &SourceFile) -> Vec<Violation> {
-    let sites = collect_sites(sf);
-    let mut fields: Vec<&str> = sites.iter().map(|s| s.field.as_str()).collect();
+    let sites = sites(sf);
+    let mut fields: Vec<&str> = sites.iter().map(|s| s.op.field.as_str()).collect();
     fields.sort_unstable();
     fields.dedup();
     let mut out = Vec::new();
     for field in fields {
         let stores: Vec<&AtomicSite> = sites
             .iter()
-            .filter(|s| s.field == field && s.method == "store")
+            .filter(|s| s.op.field == field && s.op.method == "store")
             .collect();
         let loads: Vec<&AtomicSite> = sites
             .iter()
-            .filter(|s| s.field == field && s.is_load())
+            .filter(|s| s.op.field == field && s.is_load())
             .collect();
         let any_sync_store = stores
             .iter()
@@ -239,7 +147,7 @@ pub fn check_a2(sf: &SourceFile) -> Vec<Violation> {
                 out.push(Violation::new(
                     "A2",
                     sf,
-                    l.line,
+                    l.op.line,
                     format!(
                         "Relaxed load of atomic `{field}` that is stored with a release ordering \
                          elsewhere in this file — the acquire half of the pairing is missing"
@@ -254,7 +162,7 @@ pub fn check_a2(sf: &SourceFile) -> Vec<Violation> {
                 out.push(Violation::new(
                     "A2",
                     sf,
-                    s.line,
+                    s.op.line,
                     format!(
                         "Relaxed store to atomic `{field}` that is loaded with an acquire ordering \
                          elsewhere in this file — the release half of the pairing is missing"

@@ -20,27 +20,18 @@
 use std::collections::BTreeMap;
 
 use crate::callgraph::CallGraph;
-use crate::rules::{check_d2, InterprocScope, Violation};
+use crate::config::RuleScope;
+use crate::parser::enclosing_fn;
+use crate::rules::{check_d2, Violation};
 use crate::source::SourceFile;
 
-pub fn check_d3(
-    cg: &CallGraph,
-    sources: &BTreeMap<String, &SourceFile>,
-    scope: &InterprocScope,
-) -> Vec<Violation> {
+pub fn check_d3(cg: &CallGraph, files: &[SourceFile], scope: &RuleScope) -> Vec<Violation> {
     // Taint roots: every D2 pattern site in the workspace, including
     // allow-suppressed sites and crates outside d2's scope.
     let mut root_site: BTreeMap<usize, (String, u32)> = BTreeMap::new(); // fn -> earliest site
-    for sf in sources.values() {
+    for sf in files {
         for v in check_d2(sf) {
-            let enclosing = cg
-                .fns
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.file == v.file && f.line <= v.line && v.line <= f.end_line)
-                .max_by_key(|(_, f)| f.line)
-                .map(|(i, _)| i);
-            if let Some(i) = enclosing {
+            if let Some(i) = enclosing_fn(&cg.fns, &v.file, v.line) {
                 let entry = root_site.entry(i).or_insert((v.file.clone(), v.line));
                 if v.line < entry.1 {
                     *entry = (v.file.clone(), v.line);
@@ -61,12 +52,12 @@ pub fn check_d3(
     let mut out: Vec<Violation> = Vec::new();
     let mut seen: Vec<(String, u32)> = Vec::new();
     for (i, f) in cg.fns.iter().enumerate() {
-        if !scope.in_scope(&f.crate_name, &f.file) {
+        if !scope.covers(&f.file) {
             continue;
         }
         for e in &cg.edges[i] {
             let callee = &cg.fns[e.callee];
-            if !tainted[e.callee] || scope.crates.iter().any(|c| c == &callee.crate_name) {
+            if !tainted[e.callee] || scope.lists_crate_of(&callee.file) {
                 continue;
             }
             let key = (f.file.clone(), e.line);

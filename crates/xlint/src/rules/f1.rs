@@ -26,11 +26,12 @@
 //! allow — which is exactly the review point the rule wants). Cycles in
 //! the caller walk resolve optimistically.
 
-use super::{InterprocScope, Violation};
+use super::Violation;
 use crate::callgraph::CallGraph;
+use crate::config::RuleScope;
 use crate::parser::FsEventKind;
 
-pub fn check_f1(g: &CallGraph, scope: &InterprocScope) -> Vec<Violation> {
+pub fn check_f1(g: &CallGraph, scope: &RuleScope) -> Vec<Violation> {
     // Fns that may force bytes to stable storage, directly or through a
     // callee.
     let sync_roots: Vec<usize> = g
@@ -44,7 +45,7 @@ pub fn check_f1(g: &CallGraph, scope: &InterprocScope) -> Vec<Violation> {
 
     let mut out = Vec::new();
     for (fi, f) in g.fns.iter().enumerate() {
-        if !scope.in_scope(&f.crate_name, &f.file) {
+        if !scope.covers(&f.file) {
             continue;
         }
         for ev in f.fs_events.iter().filter(|e| e.kind == FsEventKind::Rename) {
@@ -122,24 +123,19 @@ fn unsynced_entry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse_file, ParsedFile};
     use crate::source::SourceFile;
     use std::path::Path;
 
     fn graph(src: &str) -> CallGraph {
-        let path = "crates/d/src/lib.rs";
-        let sf = SourceFile::from_source(Path::new(path), src);
-        let parsed: Vec<(String, String, ParsedFile)> = vec![(
-            path.to_string(),
-            "xfraud_d".to_string(),
-            parse_file(&sf, "xfraud_d"),
-        )];
-        CallGraph::build(&parsed)
+        CallGraph::build(&[SourceFile::from_source(
+            Path::new("crates/d/src/lib.rs"),
+            src,
+        )])
     }
 
-    fn scope() -> InterprocScope {
-        InterprocScope {
-            crates: vec!["xfraud_d".to_string()],
+    fn scope() -> RuleScope {
+        RuleScope {
+            crates: vec!["d".to_string()],
             skip_bins: false,
         }
     }
@@ -206,8 +202,8 @@ mod tests {
     #[test]
     fn out_of_scope_renames_are_not_attributed() {
         let g = graph("pub fn publish() { fs::rename(&tmp, &dst).ok(); }");
-        let other = InterprocScope {
-            crates: vec!["xfraud_other".to_string()],
+        let other = RuleScope {
+            crates: vec!["other".to_string()],
             skip_bins: false,
         };
         assert!(check_f1(&g, &other).is_empty());

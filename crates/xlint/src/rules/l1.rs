@@ -13,164 +13,81 @@
 //!    stretches the critical section over code with unknown latency and
 //!    locking behaviour (the deadlock/latency hazard in the batcher). Drop
 //!    the guard first, or justify with `// xlint: allow(l1, reason = "…")`.
+//!
+//! The guard check reads the parser's guard liveness (shared with L2's
+//! lock graph): a `let`-bound guard is live from its acquisition to
+//! `drop(guard)` or the end of its block, and a guard consumed by a
+//! chained call (`let n = m.lock().len();`) is a temporary that dies with
+//! its statement.
 
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
-use super::{is_path_sep, is_punct, Violation};
+use super::{is_punct, Violation};
 
 const LOCK_METHODS: [&str; 3] = ["lock", "read", "write"];
 
 pub fn check_l1(sf: &SourceFile) -> Vec<Violation> {
     let toks = &sf.tokens;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if sf.test_mask[i] {
+    // (token index of the lock call, finding): a lock's poison finding
+    // sorts before its guard finding.
+    let mut out: Vec<(usize, Violation)> = Vec::new();
+    // (1) `.lock().unwrap()` / `.expect(` directly chained.
+    for i in 1..toks.len() {
+        let lock_call = !sf.test_mask[i]
+            && toks[i].kind == TokenKind::Ident
+            && LOCK_METHODS.contains(&toks[i].text.as_str())
+            && is_punct(toks, i - 1, ".")
+            && is_punct(toks, i + 1, "(")
+            && is_punct(toks, i + 2, ")")
+            && is_punct(toks, i + 3, ".");
+        let Some(chained) = toks.get(i + 4).filter(|t| {
+            lock_call && t.kind == TokenKind::Ident && (t.text == "unwrap" || t.text == "expect")
+        }) else {
             continue;
-        }
-        if !is_lock_call(sf, i) {
-            continue;
-        }
-        // (1) `.lock().unwrap()` / `.expect(` directly chained.
-        let after = i + 3; // past `name ( )`
-        if is_punct(toks, after, ".")
-            && toks.get(after + 1).is_some_and(|t| {
-                t.kind == TokenKind::Ident && (t.text == "unwrap" || t.text == "expect")
-            })
-        {
-            out.push(Violation::new(
+        };
+        out.push((
+            i,
+            Violation::new(
                 "L1",
                 sf,
                 toks[i].line,
                 format!(
                     "`.{}().{}()` propagates lock poison as a panic — recover the guard \
                      (`unwrap_or_else(PoisonError::into_inner)`) or surface a typed error",
-                    toks[i].text,
-                    toks[after + 1].text
+                    toks[i].text, chained.text
+                ),
+            ),
+        ));
+    }
+    // (2) The first path call into a workspace crate while a `let`-bound
+    // guard is live.
+    for f in sf.parsed.fns.iter().filter(|f| !f.is_test) {
+        for (li, lock) in f.locks.iter().enumerate() {
+            let Some(guard) = &lock.guard else { continue };
+            let Some(call) = f.calls.iter().find(|c| {
+                !c.is_method
+                    && c.under_locks.contains(&li)
+                    && sf.workspace_imports.contains(&c.path[0])
+            }) else {
+                continue;
+            };
+            out.push((
+                lock.seq as usize,
+                Violation::new(
+                    "L1",
+                    sf,
+                    call.line,
+                    format!(
+                        "guard `{guard}` is still live across a call into `{}` — a cross-crate \
+                         call under a lock is a deadlock/latency hazard; drop the guard first \
+                         or justify with `// xlint: allow(l1, reason = \"…\")`",
+                        call.path[0]
+                    ),
                 ),
             ));
         }
-        // (2) `let g = ….lock()…;` — scan the guard's scope for calls into
-        // other workspace crates.
-        if let Some((guard_idx, stmt_end)) = enclosing_let(toks, i) {
-            let guard = toks[guard_idx].text.clone();
-            if let Some(v) = scan_guard_scope(sf, &guard, stmt_end) {
-                out.push(v);
-            }
-        }
     }
-    out
-}
-
-/// Is `tokens[i]` the method name of a `. lock ( )` / `. read ( )` /
-/// `. write ( )` call with an empty argument list?
-fn is_lock_call(sf: &SourceFile, i: usize) -> bool {
-    let toks = &sf.tokens;
-    toks[i].kind == TokenKind::Ident
-        && LOCK_METHODS.contains(&toks[i].text.as_str())
-        && i >= 1
-        && is_punct(toks, i - 1, ".")
-        && is_punct(toks, i + 1, "(")
-        && is_punct(toks, i + 2, ")")
-}
-
-/// If the lock call at `i` sits in a `let name = …;` statement, returns
-/// `(index of name, index of the terminating ';')`.
-fn enclosing_let(toks: &[crate::lexer::Token], i: usize) -> Option<(usize, usize)> {
-    // Walk back to the statement head on this brace depth.
-    let depth = toks[i].brace_depth;
-    let mut j = i;
-    loop {
-        if j == 0 {
-            return None;
-        }
-        j -= 1;
-        let t = &toks[j];
-        if t.brace_depth < depth || t.text == ";" || t.text == "{" {
-            return None; // crossed a statement/block boundary without a let
-        }
-        if t.kind == TokenKind::Ident && t.text == "let" {
-            break;
-        }
-    }
-    // `let [mut] name = …`
-    let mut k = j + 1;
-    if toks.get(k).is_some_and(|t| t.text == "mut") {
-        k += 1;
-    }
-    let name_idx = k;
-    if toks.get(name_idx).map(|t| t.kind) != Some(TokenKind::Ident) {
-        return None;
-    }
-    if toks.get(name_idx + 1).is_none_or(|t| t.text != "=") {
-        return None; // destructuring or typed pattern — keep the rule simple
-    }
-    // Find the `;` ending the statement at this depth.
-    let mut e = i;
-    while e < toks.len() {
-        if toks[e].brace_depth < depth {
-            return None;
-        }
-        if toks[e].text == ";" && toks[e].brace_depth == depth {
-            return Some((name_idx, e));
-        }
-        e += 1;
-    }
-    None
-}
-
-/// Scans from the end of the guard's `let` statement to the end of its
-/// scope (enclosing `}` or `drop(guard)`), flagging the first call into a
-/// workspace crate made while the guard is live.
-fn scan_guard_scope(sf: &SourceFile, guard: &str, stmt_end: usize) -> Option<Violation> {
-    let toks = &sf.tokens;
-    let depth = toks[stmt_end].brace_depth;
-    let mut i = stmt_end + 1;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.brace_depth < depth {
-            return None; // guard scope ended
-        }
-        // `drop ( guard )` releases early.
-        if t.text == "drop"
-            && is_punct(toks, i + 1, "(")
-            && toks.get(i + 2).is_some_and(|g| g.text == guard)
-            && is_punct(toks, i + 3, ")")
-        {
-            return None;
-        }
-        // A call into a workspace crate: `name(…)` or `name::…::seg(…)`
-        // where `name` was imported from an `xfraud*` crate (or is one).
-        // A bare path expression (`NodeType::Txn`, a match pattern, a
-        // struct literal) is a constant, not a critical-section extension.
-        if t.kind == TokenKind::Ident
-            && sf.workspace_imports.iter().any(|n| n == &t.text)
-            && !is_punct(toks, i.wrapping_sub(1), ".") // method names shadowing imports
-            && is_call_site(toks, i)
-        {
-            return Some(Violation::new(
-                "L1",
-                sf,
-                t.line,
-                format!(
-                    "guard `{guard}` is still live across a call into `{}` — a cross-crate \
-                     call under a lock is a deadlock/latency hazard; drop the guard first \
-                     or justify with `// xlint: allow(l1, reason = \"…\")`",
-                    t.text
-                ),
-            ));
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Does the ident at `i` head a *call*? Either `name(` directly, or a path
-/// `name::seg::…::last(` whose final segment opens an argument list.
-fn is_call_site(toks: &[crate::lexer::Token], i: usize) -> bool {
-    let mut j = i;
-    while is_path_sep(toks, j + 1) && toks.get(j + 3).map(|t| t.kind) == Some(TokenKind::Ident) {
-        j += 3;
-    }
-    is_punct(toks, j + 1, "(")
+    out.sort_by_key(|(at, _)| *at);
+    out.into_iter().map(|(_, v)| v).collect()
 }

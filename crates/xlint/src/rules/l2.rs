@@ -16,18 +16,18 @@
 //! direction, and the resolver errs against it.
 
 use crate::callgraph::CallGraph;
+use crate::config::RuleScope;
 use crate::lockgraph::LockGraph;
-use crate::rules::{InterprocScope, Violation};
+use crate::rules::Violation;
 
-pub fn check_l2(cg: &CallGraph, lg: &LockGraph, scope: &InterprocScope) -> Vec<Violation> {
+pub fn check_l2(cg: &CallGraph, lg: &LockGraph, scope: &RuleScope) -> Vec<Violation> {
     let mut out = Vec::new();
     for cycle in lg.cycles() {
         // Attribute the cycle to its first in-scope edge (smallest
         // file/line), so the finding lands where a fix or allow can go.
         let mut anchor: Option<&&crate::lockgraph::LockEdge> = None;
         for e in &cycle {
-            let f = &cg.fns[e.fn_idx];
-            if !scope.in_scope(&f.crate_name, &f.file) {
+            if !scope.covers(&cg.fns[e.fn_idx].file) {
                 continue;
             }
             if anchor.is_none_or(|a| (e.file.as_str(), e.line) < (a.file.as_str(), a.line)) {

@@ -1,6 +1,7 @@
-//! The rule set. Each rule is a pure function from a [`SourceFile`] to
-//! violations; allow-directive filtering happens in the driver so rules
-//! stay trivially fixture-testable.
+//! The rule set. Each rule is a pure function from one [`SourceFile`] or
+//! the whole [`Workspace`] model to violations; allow-directive filtering
+//! happens in the driver so rules stay trivially fixture-testable.
+//! [`RULES`] maps each `xlint.toml` id to its check.
 //!
 //! | id | invariant |
 //! |----|-----------|
@@ -51,8 +52,42 @@ pub use l2::check_l2;
 pub use p1::check_p1;
 pub use u1::{check_u1, check_u2};
 
+use crate::config::RuleScope;
 use crate::lexer::{Token, TokenKind};
 use crate::source::SourceFile;
+use crate::Workspace;
+
+/// How a rule reads the workspace model.
+#[derive(Clone, Copy)]
+pub enum Check {
+    /// Runs on each in-scope file.
+    File(fn(&SourceFile) -> Vec<Violation>),
+    /// Runs once over the workspace; the scope says where findings land.
+    Workspace(fn(&Workspace, &RuleScope) -> Vec<Violation>),
+}
+
+/// Every rule by its `xlint.toml` id, in the order `lint_workspace` runs
+/// them (and so the order of the audit table).
+pub const RULES: &[(&str, Check)] = &[
+    ("a1", Check::File(check_a1)),
+    ("a2", Check::File(check_a2)),
+    ("d1", Check::File(check_d1)),
+    ("d2", Check::File(check_d2)),
+    ("e1", Check::File(check_e1)),
+    ("l1", Check::File(check_l1)),
+    ("p1", Check::File(check_p1)),
+    ("u1", Check::File(check_u1)),
+    (
+        "d3",
+        Check::Workspace(|ws, s| check_d3(&ws.graph, &ws.files, s)),
+    ),
+    ("f1", Check::Workspace(|ws, s| check_f1(&ws.graph, s))),
+    (
+        "l2",
+        Check::Workspace(|ws, s| check_l2(&ws.graph, &ws.locks, s)),
+    ),
+    ("u2", Check::Workspace(check_u2)),
+];
 
 /// One rule hit, before allow filtering.
 #[derive(Debug, Clone)]
@@ -69,31 +104,10 @@ impl Violation {
     pub fn new(rule: &'static str, sf: &SourceFile, line: u32, message: String) -> Violation {
         Violation {
             rule,
-            file: sf.rel_path.display().to_string(),
+            file: sf.path.clone(),
             line,
             message,
         }
-    }
-}
-
-/// Scope for the interprocedural rules: which *crate lib names* may carry
-/// violations, and whether `src/bin/**` files are exempt. The call/lock
-/// graphs themselves always span the whole workspace — scope restricts
-/// where findings are attributed, not what the analysis sees.
-#[derive(Debug, Clone, Default)]
-pub struct InterprocScope {
-    /// Crate lib names (`xfraud`, `xfraud_serve`, …) in scope.
-    pub crates: Vec<String>,
-    pub skip_bins: bool,
-}
-
-impl InterprocScope {
-    /// May a violation be attributed to this (crate, file)?
-    pub fn in_scope(&self, crate_name: &str, file: &str) -> bool {
-        if !self.crates.iter().any(|c| c == crate_name) {
-            return false;
-        }
-        !(self.skip_bins && file.split('/').any(|c| c == "bin"))
     }
 }
 

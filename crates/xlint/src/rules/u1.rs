@@ -14,16 +14,14 @@
 //! audit. This is the ratchet: new unsafe cannot land without the audit
 //! doc — and therefore a reviewed justification — landing with it.
 
-use std::path::Path;
-
-use super::{InterprocScope, Violation};
-use crate::parser::parse_file;
+use super::Violation;
+use crate::config::RuleScope;
 use crate::source::SourceFile;
-use crate::unsafe_scan::{collect_unsafe, keys_in_markdown, workspace_sites};
+use crate::unsafe_scan::{collect_unsafe, inventory, keys_in_markdown};
+use crate::Workspace;
 
 pub fn check_u1(sf: &SourceFile) -> Vec<Violation> {
-    let parsed = parse_file(sf, "crate");
-    collect_unsafe(sf, &parsed)
+    collect_unsafe(sf)
         .into_iter()
         .filter(|s| s.safety.is_none())
         .map(|s| {
@@ -47,14 +45,12 @@ pub fn check_u1(sf: &SourceFile) -> Vec<Violation> {
 /// the doc is un-audited; the fix is `--graph unsafe >
 /// docs/unsafe_audit.md` *after* writing the SAFETY comment (U1 makes
 /// sure the regenerated doc then carries a real justification).
-pub fn check_u2(root: &Path, scope: &InterprocScope) -> std::io::Result<Vec<Violation>> {
-    let sites = workspace_sites(root)?;
-    let doc = std::fs::read_to_string(root.join("docs/unsafe_audit.md")).unwrap_or_default();
+pub fn check_u2(ws: &Workspace, scope: &RuleScope) -> Vec<Violation> {
+    let doc = std::fs::read_to_string(ws.root.join("docs/unsafe_audit.md")).unwrap_or_default();
     let mut doc_keys = keys_in_markdown(&doc);
     let mut out = Vec::new();
-    for s in &sites {
-        let krate = crate_of(&s.file);
-        if !scope.in_scope(&krate, &s.file) {
+    for s in &inventory(&ws.files) {
+        if !scope.covers(&s.file) {
             continue;
         }
         let key = s.key();
@@ -76,16 +72,7 @@ pub fn check_u2(root: &Path, scope: &InterprocScope) -> std::io::Result<Vec<Viol
             ),
         });
     }
-    Ok(out)
-}
-
-/// Lib-crate name owning a workspace-relative path
-/// (`crates/diskstore/src/mmap.rs` → `xfraud_diskstore`).
-fn crate_of(file: &str) -> String {
-    file.split('/')
-        .nth(1)
-        .map(crate::lib_name)
-        .unwrap_or_default()
+    out
 }
 
 #[cfg(test)]

@@ -1,10 +1,13 @@
-//! A lexed source file plus the derived facts every rule needs: which lines
-//! are test-only code, which lines carry `xlint: allow(...)` directives, and
-//! which workspace-crate names the file imports.
+//! A source file, lexed and parsed once, plus the derived facts every rule
+//! needs: which lines are test-only code, which lines carry
+//! `xlint: allow(...)` directives, and which workspace-crate names the file
+//! imports.
 
-use std::path::{Path, PathBuf};
+use std::collections::BTreeSet;
+use std::path::Path;
 
 use crate::lexer::{lex, Comment, Token, TokenKind};
+use crate::parser::{parse_file, ParsedFile};
 
 /// An inline suppression: `// xlint: allow(p1, reason = "…")`.
 ///
@@ -19,44 +22,58 @@ pub struct AllowDirective {
     pub line: u32,
 }
 
-/// One parsed source file, ready for the rule visitors.
+/// One lexed and parsed source file, ready for the rule visitors.
 pub struct SourceFile {
     /// Path relative to the workspace root (`crates/gnn/src/model.rs`).
-    pub rel_path: PathBuf,
+    pub path: String,
+    /// Lib name of the owning crate (`xfraud_gnn`), from the path; `crate`
+    /// for a file outside `crates/` (a rule fixture).
+    pub crate_name: String,
     pub tokens: Vec<Token>,
     pub allows: Vec<AllowDirective>,
     /// `test_mask[i]` — token `i` sits inside `#[cfg(test)]` / `#[test]`
     /// gated code and is invisible to every rule.
     pub test_mask: Vec<bool>,
     /// Leaf names this file imports from workspace crates
-    /// (`use xfraud_gnn::{predict_scores, Sampler}` → both names), plus the
-    /// crate names themselves (`xfraud_gnn`).
-    pub workspace_imports: Vec<String>,
+    /// (`use xfraud_gnn::{predict_scores, Sampler}` → both names), plus
+    /// every `xfraud*` identifier in the file (`xfraud_gnn::…` calls).
+    pub workspace_imports: BTreeSet<String>,
     /// Every comment with its line span — rule U1 reads `// SAFETY:`
     /// justifications adjacent to `unsafe` sites out of these.
     pub comments: Vec<Comment>,
+    /// The file's items, calls, locks and atomics; built once, here.
+    pub parsed: ParsedFile,
 }
 
 impl SourceFile {
-    pub fn parse(root: &Path, rel_path: &Path) -> std::io::Result<SourceFile> {
-        let src = std::fs::read_to_string(root.join(rel_path))?;
-        Ok(SourceFile::from_source(rel_path, &src))
-    }
-
-    /// Parses from an in-memory string — the fixture-test entry point.
+    /// Lexes and parses `src` as the file at workspace-relative
+    /// `rel_path`.
     pub fn from_source(rel_path: &Path, src: &str) -> SourceFile {
         let lexed = lex(src);
-        let test_mask = compute_test_mask(&lexed.tokens);
-        let allows = collect_allows(&lexed.comments);
-        let workspace_imports = collect_workspace_imports(&lexed.tokens);
-        SourceFile {
-            rel_path: rel_path.to_path_buf(),
+        let mut sf = SourceFile {
+            path: rel_path.display().to_string(),
+            crate_name: crate_of(rel_path),
+            test_mask: compute_test_mask(&lexed.tokens),
+            allows: collect_allows(&lexed.comments),
             tokens: lexed.tokens,
-            allows,
-            test_mask,
-            workspace_imports,
+            workspace_imports: BTreeSet::new(),
             comments: lexed.comments,
-        }
+            parsed: ParsedFile::default(),
+        };
+        sf.parsed = parse_file(&sf);
+        let uses = sf
+            .parsed
+            .uses
+            .iter()
+            .filter(|u| !u.is_local && u.leaf != "*");
+        sf.workspace_imports = sf
+            .tokens
+            .iter()
+            .filter(|t| t.kind == TokenKind::Ident && t.text.starts_with("xfraud"))
+            .map(|t| t.text.clone())
+            .chain(uses.map(|u| u.leaf.clone()))
+            .collect();
+        sf
     }
 
     /// Is a violation of `rule` at `line` suppressed by an allow directive?
@@ -185,48 +202,13 @@ fn collect_allows(comments: &[Comment]) -> Vec<AllowDirective> {
     out
 }
 
-/// Names imported from workspace crates: the `xfraud*` crate idents
-/// themselves plus every leaf of a `use xfraud_foo::…` tree.
-fn collect_workspace_imports(tokens: &[Token]) -> Vec<String> {
-    let mut names: Vec<String> = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if tokens[i].kind == TokenKind::Ident && tokens[i].text.starts_with("xfraud") {
-            push_unique(&mut names, &tokens[i].text);
-        }
-        if tokens[i].text == "use"
-            && tokens
-                .get(i + 1)
-                .is_some_and(|t| t.text.starts_with("xfraud"))
-        {
-            // Walk the use-tree to its `;`, collecting leaf idents (an ident
-            // not followed by `::`). `as` renames keep the rename. The crate
-            // name itself counts too (`xfraud_gnn::predict_scores(…)` calls).
-            push_unique(&mut names, &tokens[i + 1].text);
-            let mut j = i + 1;
-            while j < tokens.len() && tokens[j].text != ";" {
-                let followed_by_path = tokens.get(j + 1).is_some_and(|t| t.text == ":")
-                    && tokens.get(j + 2).is_some_and(|t| t.text == ":");
-                let renamed = tokens.get(j + 1).is_some_and(|t| t.text == "as");
-                if tokens[j].kind == TokenKind::Ident
-                    && tokens[j].text != "as"
-                    && !followed_by_path
-                    && !renamed
-                {
-                    push_unique(&mut names, &tokens[j].text);
-                }
-                j += 1;
-            }
-            i = j;
-        }
-        i += 1;
-    }
-    names
-}
-
-fn push_unique(names: &mut Vec<String>, name: &str) {
-    if !names.iter().any(|n| n == name) {
-        names.push(name.to_string());
+/// Lib name of the crate owning a workspace-relative path
+/// (`crates/gnn/src/model.rs` → `xfraud_gnn`); `crate` outside `crates/`.
+fn crate_of(rel_path: &Path) -> String {
+    let mut parts = rel_path.iter();
+    match (parts.next(), parts.next()) {
+        (Some(top), Some(dir)) if top == "crates" => crate::lib_name(&dir.to_string_lossy()),
+        _ => "crate".to_string(),
     }
 }
 

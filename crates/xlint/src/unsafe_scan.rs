@@ -12,10 +12,8 @@
 //! by non-empty text. Doc comments (`/// # Safety`) on an `unsafe fn`
 //! count too — they are the std convention for caller-facing contracts.
 
-use std::path::Path;
-
 use crate::lexer::{Comment, TokenKind};
-use crate::parser::{parse_file, ParsedFile};
+use crate::parser::enclosing_fn;
 use crate::source::SourceFile;
 
 /// What kind of `unsafe` occurrence a site is.
@@ -63,9 +61,8 @@ impl UnsafeSite {
     }
 }
 
-/// Collects every non-test `unsafe` site in `sf`. `parsed` supplies the
-/// fn spans for enclosing-fn labels (pass the same file's parse).
-pub fn collect_unsafe(sf: &SourceFile, parsed: &ParsedFile) -> Vec<UnsafeSite> {
+/// Collects every non-test `unsafe` site in `sf`.
+pub fn collect_unsafe(sf: &SourceFile) -> Vec<UnsafeSite> {
     let toks = &sf.tokens;
     let mut out = Vec::new();
     for i in 0..toks.len() {
@@ -76,11 +73,19 @@ pub fn collect_unsafe(sf: &SourceFile, parsed: &ParsedFile) -> Vec<UnsafeSite> {
             continue;
         };
         let line = toks[i].line;
+        let fns = &sf.parsed.fns;
+        let fn_label = match enclosing_fn(fns, &sf.path, line).map(|f| &fns[f]) {
+            Some(f) => match &f.impl_type {
+                Some(ty) => format!("{ty}::{}", f.name),
+                None => f.name.clone(),
+            },
+            None => "<module scope>".into(),
+        };
         out.push(UnsafeSite {
-            file: sf.rel_path.display().to_string(),
+            file: sf.path.clone(),
             line,
             kind,
-            fn_label: enclosing_fn_label(parsed, &sf.rel_path.display().to_string(), line),
+            fn_label,
             safety: safety_justification(&sf.comments, line),
         });
     }
@@ -114,20 +119,6 @@ fn classify(toks: &[crate::lexer::Token], i: usize) -> Option<UnsafeKind> {
         }
     }
     None
-}
-
-/// Innermost fn (by span) containing `line`, labelled `Type::name`.
-fn enclosing_fn_label(parsed: &ParsedFile, file: &str, line: u32) -> String {
-    parsed
-        .fns
-        .iter()
-        .filter(|f| f.file == file && f.line <= line && line <= f.end_line)
-        .max_by_key(|f| f.line)
-        .map(|f| match &f.impl_type {
-            Some(ty) => format!("{ty}::{}", f.name),
-            None => f.name.clone(),
-        })
-        .unwrap_or_else(|| "<module scope>".into())
 }
 
 /// The SAFETY justification adjacent to an `unsafe` keyword on `line`:
@@ -188,31 +179,11 @@ fn strip_comment_markers(text: &str) -> String {
         .join(" ")
 }
 
-/// Collects every `unsafe` site across the workspace at `root`,
-/// deterministically ordered (file, line).
-pub fn workspace_sites(root: &Path) -> std::io::Result<Vec<UnsafeSite>> {
-    let crates_dir = root.join("crates");
-    let mut dirs: Vec<String> = Vec::new();
-    for entry in std::fs::read_dir(&crates_dir)? {
-        let path = entry?.path();
-        if path.join("src").is_dir() {
-            if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
-                dirs.push(name.to_string());
-            }
-        }
-    }
-    dirs.sort();
-    let mut out = Vec::new();
-    for dir in &dirs {
-        let krate = crate::lib_name(dir);
-        for rel in crate::rust_files(root, &crates_dir.join(dir).join("src"))? {
-            let sf = SourceFile::parse(root, &rel)?;
-            let parsed = parse_file(&sf, &krate);
-            out.extend(collect_unsafe(&sf, &parsed));
-        }
-    }
+/// Every `unsafe` site in `files`, ordered by (file, line).
+pub fn inventory(files: &[SourceFile]) -> Vec<UnsafeSite> {
+    let mut out: Vec<UnsafeSite> = files.iter().flat_map(collect_unsafe).collect();
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(out)
+    out
 }
 
 /// Renders the audit markdown committed as `docs/unsafe_audit.md`.
@@ -284,9 +255,10 @@ mod tests {
     use std::path::Path;
 
     fn sites(src: &str) -> Vec<UnsafeSite> {
-        let sf = SourceFile::from_source(Path::new("crates/demo/src/lib.rs"), src);
-        let parsed = parse_file(&sf, "xfraud_demo");
-        collect_unsafe(&sf, &parsed)
+        collect_unsafe(&SourceFile::from_source(
+            Path::new("crates/demo/src/lib.rs"),
+            src,
+        ))
     }
 
     #[test]

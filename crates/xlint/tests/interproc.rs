@@ -1,11 +1,12 @@
 //! Integration tests for the interprocedural rules (L2/D3/F1) over the
-//! fixture mini-workspace in `tests/fixtures/ws_interproc/`, plus the
-//! (slow, `--ignored`) whole-workspace graph-construction test.
+//! fixture mini-workspace in `tests/fixtures/ws_interproc/`, scope
+//! validation, and the whole-workspace graph-construction test.
 
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 
 use xlint::config::Config;
-use xlint::{build_graphs, lint_workspace, LintReport};
+use xlint::{lint_workspace, LintReport, Workspace};
 
 fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws_interproc")
@@ -114,22 +115,32 @@ fn f1_flags_the_unsynced_rename_path_but_not_the_synced_one() {
     );
 }
 
-/// Slow whole-workspace graph construction: runs in the scheduled CI job
-/// (`cargo test -p xlint -- --ignored`), not on every PR.
 #[test]
-#[ignore = "whole-workspace graph build; run via the scheduled xlint-deep job"]
+fn a_missing_crate_in_any_rule_scope_is_an_error() {
+    // L2 is interprocedural; its scope is validated like every other.
+    let cfg = Config::parse("[rules.l2]\ncrates = [\"nope\"]\n").expect("config parses");
+    let err = lint_workspace(&fixture_root(), &cfg).expect_err("`nope` is not a crate");
+    assert_eq!(err.kind(), ErrorKind::NotFound, "{err}");
+    assert!(
+        err.to_string().contains("rule l2 to missing crate `nope`"),
+        "{err}"
+    );
+}
+
+#[test]
 fn whole_workspace_graphs_are_deterministic_and_sane() {
     let root = workspace_root();
-    let (cg1, lg1) = build_graphs(root).expect("first build");
-    let (cg2, lg2) = build_graphs(root).expect("second build");
+    let ws1 = Workspace::load(root).expect("first load");
+    let ws2 = Workspace::load(root).expect("second load");
+    let (cg1, lg1) = (&ws1.graph, &ws1.locks);
     assert_eq!(
         cg1.to_dot(),
-        cg2.to_dot(),
+        ws2.graph.to_dot(),
         "call graph DOT must be deterministic"
     );
     assert_eq!(
         lg1.to_dot(),
-        lg2.to_dot(),
+        ws2.locks.to_dot(),
         "lock graph DOT must be deterministic"
     );
 
