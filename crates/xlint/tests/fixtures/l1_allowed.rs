@@ -1,5 +1,5 @@
-//! L1 negative fixture: recovery instead of poison unwrap, and a justified
-//! cross-crate call under a lock.
+//! L1 negative fixture: recovery instead of poison unwrap, a justified
+//! cross-crate call under a lock, and a guard chained away into a temporary.
 use std::sync::{Mutex, PoisonError};
 
 use xfraud_gnn::predict_scores;
@@ -21,5 +21,11 @@ impl Engine {
         // xlint: allow(l1, reason = "predict_scores is lock-free and O(1) here")
         let n = predict_scores();
         g.len() + n
+    }
+
+    pub fn chained_guard_is_a_temporary(&self) -> usize {
+        // The guard dies with its statement: `n` is a `usize`.
+        let n = self.state.lock().len();
+        n + predict_scores()
     }
 }
