@@ -188,7 +188,7 @@ pub fn inventory(files: &[SourceFile]) -> Vec<UnsafeSite> {
 
 /// Renders the audit markdown committed as `docs/unsafe_audit.md`.
 /// Deterministic: regeneration over an unchanged tree is byte-identical,
-/// so the nightly drift check can `diff` it.
+/// so CI's drift check can `diff` it.
 pub fn render_markdown(sites: &[UnsafeSite]) -> String {
     let mut out = String::from(
         "# Unsafe audit\n\n\
@@ -196,8 +196,8 @@ pub fn render_markdown(sites: &[UnsafeSite]) -> String {
          `// SAFETY:` justification. Generated by\n\
          `cargo run -p xlint -- --graph unsafe > docs/unsafe_audit.md`;\n\
          rule U2 fails `--check` when a site exists that this file does not\n\
-         record (key: `file · kind · enclosing fn`), and the nightly deep job\n\
-         diffs the regenerated inventory against this committed copy.\n",
+         record (key: `file · kind · enclosing fn`), and the per-PR `xlint`\n\
+         CI job diffs the regenerated inventory against this committed copy.\n",
     );
     let mut current_file = "";
     for s in sites {
