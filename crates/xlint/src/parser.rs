@@ -668,20 +668,18 @@ fn scan_body(sf: &SourceFile, item: &mut FnItem, open: usize, close: usize) {
 
     // Liveness: a guard covers tokens strictly after its acquisition up
     // to (and including) its live end.
-    let held_at = |seq: u32, except: Option<usize>| -> Vec<usize> {
+    let held_at = |seq: u32| -> Vec<usize> {
         locks
             .iter()
             .enumerate()
-            .filter(|&(li, (l, end))| Some(li) != except && l.seq < seq && seq as usize <= *end)
+            .filter(|(_, (l, end))| l.seq < seq && seq as usize <= *end)
             .map(|(li, _)| li)
             .collect()
     };
     for call in calls.iter_mut() {
-        call.under_locks = held_at(call.seq, None);
+        call.under_locks = held_at(call.seq);
     }
-    let nested: Vec<Vec<usize>> = (0..locks.len())
-        .map(|li| held_at(locks[li].0.seq, Some(li)))
-        .collect();
+    let nested: Vec<Vec<usize>> = locks.iter().map(|(l, _)| held_at(l.seq)).collect();
     for ((lock, _), held) in locks.iter_mut().zip(nested) {
         lock.under_locks = held;
     }
