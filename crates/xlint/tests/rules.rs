@@ -78,7 +78,7 @@ fn d2_allow_covers_the_next_line() {
 }
 
 #[test]
-fn p1_flags_panics_and_optin_indexing_outside_tests() {
+fn p1_flags_panics_outside_tests() {
     let sf = parse("p1_bad.rs", include_str!("fixtures/p1_bad.rs"));
     let v = check_p1(&sf);
     assert_eq!(v.len(), 4, "{v:#?}");

@@ -14,7 +14,7 @@ fn workspace_root() -> &'static Path {
 }
 
 #[test]
-fn xlint_check_is_clean_against_the_committed_baseline() {
+fn xlint_check_finds_no_live_violation() {
     let root = workspace_root();
     let cfg = Config::load(&root.join("xlint.toml")).expect("xlint.toml parses");
     let report = lint_workspace(root, &cfg).expect("workspace scan");
