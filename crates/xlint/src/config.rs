@@ -25,19 +25,19 @@ pub struct RuleScope {
 impl RuleScope {
     /// Does the scope list the crate owning `file` (a workspace-relative
     /// `crates/<dir>/…` path)?
-    pub fn lists_crate_of(&self, file: &str) -> bool {
+    pub(crate) fn lists_crate_of(&self, file: &str) -> bool {
         self.crates.iter().any(|c| c == crate_dir(file))
     }
 
     /// May a finding land in `file`?
-    pub fn covers(&self, file: &str) -> bool {
+    pub(crate) fn covers(&self, file: &str) -> bool {
         self.lists_crate_of(file) && !(self.skip_bins && file.split('/').any(|c| c == "bin"))
     }
 }
 
 /// The crate directory of a workspace-relative path
 /// (`crates/gnn/src/model.rs` → `gnn`).
-pub fn crate_dir(file: &str) -> &str {
+pub(crate) fn crate_dir(file: &str) -> &str {
     file.split('/').nth(1).unwrap_or("")
 }
 

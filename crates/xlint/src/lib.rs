@@ -61,9 +61,9 @@ pub struct LintReport {
 /// taint sources in `metrics`/`bench` still matter to callers in scoped
 /// crates.
 pub struct Workspace {
-    pub root: PathBuf,
+    pub(crate) root: PathBuf,
     /// Directory names under `crates/` that hold a `src/`, sorted.
-    pub crates: Vec<String>,
+    pub(crate) crates: Vec<String>,
     /// Every source file, by crate directory, then path.
     pub files: Vec<SourceFile>,
     pub graph: CallGraph,

@@ -159,7 +159,7 @@ pub struct ParsedFile {
 }
 
 /// Index of the innermost fn in `fns` whose span in `file` covers `line`.
-pub fn enclosing_fn(fns: &[FnItem], file: &str, line: u32) -> Option<usize> {
+pub(crate) fn enclosing_fn(fns: &[FnItem], file: &str, line: u32) -> Option<usize> {
     fns.iter()
         .enumerate()
         .filter(|(_, f)| f.file == file && f.line <= line && line <= f.end_line)

@@ -14,67 +14,50 @@
 //!    locking behaviour (the deadlock/latency hazard in the batcher). Drop
 //!    the guard first, or justify with `// xlint: allow(l1, reason = "…")`.
 //!
-//! The guard check reads the parser's guard liveness (shared with L2's
-//! lock graph): a `let`-bound guard is live from its acquisition to
-//! `drop(guard)` or the end of its block, and a guard consumed by a
-//! chained call (`let n = m.lock().len();`) is a temporary that dies with
-//! its statement.
+//! Both checks read the file's parsed lock sites. The guard check uses
+//! the parser's guard liveness (shared with L2's lock graph): a
+//! `let`-bound guard is live from its acquisition to `drop(guard)` or the
+//! end of its block, and a guard consumed by a chained call
+//! (`let n = m.lock().len();`) is a temporary that dies with its
+//! statement.
 
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
 use super::{is_punct, Violation};
 
-const LOCK_METHODS: [&str; 3] = ["lock", "read", "write"];
-
 pub fn check_l1(sf: &SourceFile) -> Vec<Violation> {
     let toks = &sf.tokens;
-    // (token index of the lock call, finding): a lock's poison finding
-    // sorts before its guard finding.
-    let mut out: Vec<(usize, Violation)> = Vec::new();
-    // (1) `.lock().unwrap()` / `.expect(` directly chained.
-    for i in 1..toks.len() {
-        let lock_call = !sf.test_mask[i]
-            && toks[i].kind == TokenKind::Ident
-            && LOCK_METHODS.contains(&toks[i].text.as_str())
-            && is_punct(toks, i - 1, ".")
-            && is_punct(toks, i + 1, "(")
-            && is_punct(toks, i + 2, ")")
-            && is_punct(toks, i + 3, ".");
-        let Some(chained) = toks.get(i + 4).filter(|t| {
-            lock_call && t.kind == TokenKind::Ident && (t.text == "unwrap" || t.text == "expect")
-        }) else {
-            continue;
-        };
-        out.push((
-            i,
-            Violation::new(
-                "L1",
-                sf,
-                toks[i].line,
-                format!(
-                    "`.{}().{}()` propagates lock poison as a panic — recover the guard \
-                     (`unwrap_or_else(PoisonError::into_inner)`) or surface a typed error",
-                    toks[i].text, chained.text
-                ),
-            ),
-        ));
-    }
-    // (2) The first path call into a workspace crate while a `let`-bound
-    // guard is live.
-    for f in sf.parsed.fns.iter().filter(|f| !f.is_test) {
+    let mut out = Vec::new();
+    for f in &sf.parsed.fns {
         for (li, lock) in f.locks.iter().enumerate() {
+            // (1) `.lock().unwrap()` / `.expect(` directly chained.
+            let after = lock.seq as usize + 3; // past `lock ( )`
+            if let Some(chained) = toks.get(after + 1).filter(|t| {
+                is_punct(toks, after, ".")
+                    && t.kind == TokenKind::Ident
+                    && (t.text == "unwrap" || t.text == "expect")
+            }) {
+                out.push(Violation::new(
+                    "L1",
+                    sf,
+                    lock.line,
+                    format!(
+                        "`.{}().{}()` propagates lock poison as a panic — recover the guard \
+                         (`unwrap_or_else(PoisonError::into_inner)`) or surface a typed error",
+                        lock.op, chained.text
+                    ),
+                ));
+            }
+            // (2) The first path call into a workspace crate while a
+            // `let`-bound guard is live.
             let Some(guard) = &lock.guard else { continue };
-            let Some(call) = f.calls.iter().find(|c| {
+            if let Some(call) = f.calls.iter().find(|c| {
                 !c.is_method
                     && c.under_locks.contains(&li)
                     && sf.workspace_imports.contains(&c.path[0])
-            }) else {
-                continue;
-            };
-            out.push((
-                lock.seq as usize,
-                Violation::new(
+            }) {
+                out.push(Violation::new(
                     "L1",
                     sf,
                     call.line,
@@ -84,10 +67,9 @@ pub fn check_l1(sf: &SourceFile) -> Vec<Violation> {
                          or justify with `// xlint: allow(l1, reason = \"…\")`",
                         call.path[0]
                     ),
-                ),
-            ));
+                ));
+            }
         }
     }
-    out.sort_by_key(|(at, _)| *at);
-    out.into_iter().map(|(_, v)| v).collect()
+    out
 }

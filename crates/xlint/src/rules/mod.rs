@@ -1,7 +1,7 @@
 //! The rule set. Each rule is a pure function from one [`SourceFile`] or
 //! the whole [`Workspace`] model to violations; allow-directive filtering
 //! happens in the driver so rules stay trivially fixture-testable.
-//! [`RULES`] maps each `xlint.toml` id to its check.
+//! One table, `RULES`, maps each `xlint.toml` id to its check.
 //!
 //! | id | invariant |
 //! |----|-----------|
@@ -59,7 +59,7 @@ use crate::Workspace;
 
 /// How a rule reads the workspace model.
 #[derive(Clone, Copy)]
-pub enum Check {
+pub(crate) enum Check {
     /// Runs on each in-scope file.
     File(fn(&SourceFile) -> Vec<Violation>),
     /// Runs once over the workspace; the scope says where findings land.
@@ -68,7 +68,7 @@ pub enum Check {
 
 /// Every rule by its `xlint.toml` id, in the order `lint_workspace` runs
 /// them (and so the order of the audit table).
-pub const RULES: &[(&str, Check)] = &[
+pub(crate) const RULES: &[(&str, Check)] = &[
     ("a1", Check::File(check_a1)),
     ("a2", Check::File(check_a2)),
     ("d1", Check::File(check_d1)),
