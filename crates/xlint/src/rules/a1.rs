@@ -22,8 +22,9 @@
 //! Either way one side paid for synchronization the other side throws
 //! away.
 //!
-//! Approximation direction: sites are recognised only when an explicit
-//! `Ordering::X` literal appears in the argument list, and field
+//! Approximation direction: sites are the parser's atomic operations —
+//! inside `fn` bodies, with an explicit `Ordering::X` literal in the
+//! argument list — and field
 //! identity is per-file (`self.field` receivers collapse by final field
 //! name, mirroring the lock-identity rule). Orderings passed through
 //! variables and cross-file access patterns are missed —

@@ -6,6 +6,7 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 
+use crate::config::crate_dir;
 use crate::lexer::{lex, Comment, Token, TokenKind};
 use crate::parser::{parse_file, ParsedFile};
 
@@ -50,9 +51,16 @@ impl SourceFile {
     /// `rel_path`.
     pub fn from_source(rel_path: &Path, src: &str) -> SourceFile {
         let lexed = lex(src);
+        let path = rel_path.display().to_string();
+        // Files outside `crates/` are rule fixtures.
+        let crate_name = if path.starts_with("crates/") {
+            crate::lib_name(crate_dir(&path))
+        } else {
+            "crate".to_string()
+        };
         let mut sf = SourceFile {
-            path: rel_path.display().to_string(),
-            crate_name: crate_of(rel_path),
+            path,
+            crate_name,
             test_mask: compute_test_mask(&lexed.tokens),
             allows: collect_allows(&lexed.comments),
             tokens: lexed.tokens,
@@ -200,16 +208,6 @@ fn collect_allows(comments: &[Comment]) -> Vec<AllowDirective> {
         }
     }
     out
-}
-
-/// Lib name of the crate owning a workspace-relative path
-/// (`crates/gnn/src/model.rs` → `xfraud_gnn`); `crate` outside `crates/`.
-fn crate_of(rel_path: &Path) -> String {
-    let mut parts = rel_path.iter();
-    match (parts.next(), parts.next()) {
-        (Some(top), Some(dir)) if top == "crates" => crate::lib_name(&dir.to_string_lossy()),
-        _ => "crate".to_string(),
-    }
 }
 
 #[cfg(test)]
