@@ -1,6 +1,6 @@
 //! The rule set. Each rule is a pure function from one [`SourceFile`] or
 //! the whole [`Workspace`] model to violations; allow-directive filtering
-//! happens in the driver so rules stay trivially fixture-testable.
+//! happens in `lint_workspace` so rules stay trivially fixture-testable.
 //! One table, `RULES`, maps each `xlint.toml` id to its check.
 //!
 //! | id | invariant |
