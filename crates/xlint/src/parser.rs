@@ -180,6 +180,17 @@ const FN_QUALIFIERS: &[&str] = &["pub", "const", "unsafe", "async", "extern", "d
 
 const LOCK_METHODS: &[&str] = &["lock", "read", "write"];
 
+/// Is `toks[j]` the method of a `. lock ( )` / `. read ( )` /
+/// `. write ( )` acquisition (empty argument list)?
+pub(crate) fn is_lock_call(toks: &[Token], j: usize) -> bool {
+    toks[j].kind == TokenKind::Ident
+        && LOCK_METHODS.contains(&toks[j].text.as_str())
+        && j >= 1
+        && toks[j - 1].text == "."
+        && toks.get(j + 1).is_some_and(|n| n.text == "(")
+        && toks.get(j + 2).is_some_and(|n| n.text == ")")
+}
+
 /// Atomic methods rules A1/A2 read: `load`, the store-side ops taking one
 /// ordering, and the compare-exchange family taking `(success, failure)`.
 const ATOMIC_METHODS: &[&str] = &[
@@ -561,13 +572,7 @@ fn scan_body(sf: &SourceFile, item: &mut FnItem, open: usize, close: usize) {
         }
         let t = &toks[j];
         // Lock acquisition: `. lock ( )` etc.
-        if t.kind == TokenKind::Ident
-            && LOCK_METHODS.contains(&t.text.as_str())
-            && j >= 1
-            && toks[j - 1].text == "."
-            && toks.get(j + 1).is_some_and(|n| n.text == "(")
-            && toks.get(j + 2).is_some_and(|n| n.text == ")")
-        {
+        if is_lock_call(toks, j) {
             let receiver = receiver_identity(&item.name, &receiver_chain(toks, j - 1));
             let (guard, live_end) = guard_scope(toks, j, close);
             locks.push((
@@ -589,8 +594,7 @@ fn scan_body(sf: &SourceFile, item: &mut FnItem, open: usize, close: usize) {
         if t.text == "."
             && toks.get(j + 1).is_some_and(|n| n.kind == TokenKind::Ident)
             && toks.get(j + 2).is_some_and(|n| n.text == "(")
-            && !(LOCK_METHODS.contains(&toks[j + 1].text.as_str())
-                && toks.get(j + 3).is_some_and(|n| n.text == ")"))
+            && !is_lock_call(toks, j + 1)
         {
             let name = &toks[j + 1].text;
             // Durability events: `.sync_all(` / `.sync_data(` and
@@ -851,11 +855,13 @@ fn receiver_identity(fn_name: &str, receiver: &[String]) -> String {
 fn guard_scope(toks: &[Token], j: usize, body_close: usize) -> (Option<usize>, usize) {
     // `let x = m.lock().something();` — the guard is a *temporary*
     // consumed by the chained call; only the call's result is bound, so
-    // the lock is released at the semicolon. (`unwrap`/`expect` chains
-    // pass the guard through and keep let-binding semantics.)
+    // the lock is released at the semicolon. (`unwrap`/`expect` and the
+    // poison-recovery `unwrap_or_else` pass the guard through and keep
+    // let-binding semantics.)
     let chained_away = toks.get(j + 3).is_some_and(|t| t.text == ".")
         && toks.get(j + 4).is_some_and(|t| {
-            t.kind == TokenKind::Ident && t.text != "unwrap" && t.text != "expect"
+            t.kind == TokenKind::Ident
+                && !matches!(t.text.as_str(), "unwrap" | "expect" | "unwrap_or_else")
         });
     let binding = if chained_away {
         None

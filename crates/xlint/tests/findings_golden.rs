@@ -219,8 +219,11 @@ const L1_ALLOWED_SUPPRESSED: &[&str] = &[
 ];
 const L1_BAD_LIVE: &[&str] = &[
     "l1_bad.rs:12: [P1] `.unwrap()` in library code panics on failure — return a typed error, or justify the invariant with `// xlint: allow(p1, reason = \"…\")`",
+    "l1_bad.rs:36: [P1] `.unwrap()` in library code panics on failure — return a typed error, or justify the invariant with `// xlint: allow(p1, reason = \"…\")`",
     "l1_bad.rs:12: [L1] `.lock().unwrap()` propagates lock poison as a panic — recover the guard (`unwrap_or_else(PoisonError::into_inner)`) or surface a typed error",
     "l1_bad.rs:17: [L1] guard `g` is still live across a call into `predict_scores` — a cross-crate call under a lock is a deadlock/latency hazard; drop the guard first or justify with `// xlint: allow(l1, reason = \"…\")`",
+    "l1_bad.rs:31: [L1] guard `g` is still live across a call into `predict_scores` — a cross-crate call under a lock is a deadlock/latency hazard; drop the guard first or justify with `// xlint: allow(l1, reason = \"…\")`",
+    "l1_bad.rs:36: [L1] `.lock().unwrap()` propagates lock poison as a panic — recover the guard (`unwrap_or_else(PoisonError::into_inner)`) or surface a typed error",
 ];
 const L1_BAD_SUPPRESSED: &[&str] = &[];
 const P1_ALLOWED_LIVE: &[&str] = &[];

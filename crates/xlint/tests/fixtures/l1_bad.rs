@@ -1,5 +1,5 @@
 //! L1 positive fixture: poison unwrap + guard held across a workspace call.
-use std::sync::Mutex;
+use std::sync::{LazyLock, Mutex, PoisonError};
 
 use xfraud_gnn::predict_scores;
 
@@ -24,4 +24,13 @@ impl Engine {
         drop(g);
         n + predict_scores()
     }
+
+    pub fn recovered_guard_across_crate_call(&self) -> usize {
+        // Poison recovery passes the guard through: `g` is still a guard.
+        let g = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        g.len() + predict_scores()
+    }
 }
+
+static SHARED: Mutex<Vec<u32>> = Mutex::new(Vec::new());
+static FIRST: LazyLock<usize> = LazyLock::new(|| SHARED.lock().unwrap().len());

@@ -97,10 +97,16 @@ fn p1_allows_suppress_justified_invariants() {
 fn l1_flags_poison_unwrap_and_guard_across_workspace_call() {
     let sf = parse("l1_bad.rs", include_str!("fixtures/l1_bad.rs"));
     let v = check_l1(&sf);
-    assert_eq!(v.len(), 2, "{v:#?}");
-    assert!(v
-        .iter()
-        .any(|v| v.message.contains("propagates lock poison")));
+    assert_eq!(v.len(), 4, "{v:#?}");
+    assert!(
+        v.iter()
+            .any(|v| v.line == 36 && v.message.contains("propagates lock poison")),
+        "a poison unwrap in a `static` initialiser is flagged: {v:#?}"
+    );
+    assert!(
+        v.iter().any(|v| v.line == 31),
+        "a guard recovered with `unwrap_or_else` is still a guard: {v:#?}"
+    );
     assert!(v.iter().any(|v| v.message.contains("predict_scores")));
 }
 
