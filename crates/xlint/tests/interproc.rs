@@ -132,36 +132,35 @@ fn whole_workspace_graphs_are_deterministic_and_sane() {
     let root = workspace_root();
     let ws1 = Workspace::load(root).expect("first load");
     let ws2 = Workspace::load(root).expect("second load");
-    let (cg1, lg1) = (&ws1.graph, &ws1.locks);
     assert_eq!(
-        cg1.to_dot(),
+        ws1.graph.to_dot(),
         ws2.graph.to_dot(),
         "call graph DOT must be deterministic"
     );
     assert_eq!(
-        lg1.to_dot(),
+        ws1.locks.to_dot(),
         ws2.locks.to_dot(),
         "lock graph DOT must be deterministic"
     );
 
     assert!(
-        cg1.fns.len() > 400,
+        ws1.graph.fns.len() > 400,
         "the workspace has hundreds of fns, got {}",
-        cg1.fns.len()
+        ws1.graph.fns.len()
     );
-    let n_edges: usize = cg1.edges.iter().map(|e| e.len()).sum();
+    let n_edges: usize = ws1.graph.edges.iter().map(|e| e.len()).sum();
     assert!(
         n_edges > 200,
         "expected a dense call graph, got {n_edges} edges"
     );
     assert!(
-        lg1.nodes.len() >= 10,
+        ws1.locks.nodes.len() >= 10,
         "serve/ingest/kvstore locks should all be modelled, got {:?}",
-        lg1.nodes
+        ws1.locks.nodes
     );
     assert!(
-        lg1.cycles().is_empty(),
+        ws1.locks.cycles().is_empty(),
         "the real workspace lock graph must stay acyclic:\n{}",
-        lg1.to_dot()
+        ws1.locks.to_dot()
     );
 }
