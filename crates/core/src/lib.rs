@@ -42,6 +42,20 @@
 //! | [`metrics`] | `xfraud-metrics` | §4 evaluation |
 //! | [`serve`] | `xfraud-serve` | §3.3 online near-real-time scoring |
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub use xfraud_datagen as datagen;
 pub use xfraud_diskstore as diskstore;
 pub use xfraud_dist as dist;

@@ -81,9 +81,12 @@ impl CommunityStudy {
     /// simulates annotators from the generator's ground-truth risk, and
     /// runs the GNNExplainer per community against the frozen detector.
     pub fn build(pipeline: &Pipeline, cfg: StudyConfig) -> CommunityStudy {
+        #[expect(
+            clippy::expect_used,
+            reason = "the pipeline validated these bounds when it trained; re-sampling its own split cannot fail"
+        )]
         let sampled = pipeline
             .sample_communities(cfg.n_communities, cfg.min_links, cfg.max_nodes, cfg.seed)
-            // xlint: allow(p1, reason = "the pipeline validated these bounds when it trained; re-sampling its own split cannot fail")
             .expect("study samples from the pipeline's own test split");
         let explainer = GnnExplainer::new(&pipeline.detector, cfg.explainer.clone());
         let mut communities = Vec::with_capacity(sampled.len());

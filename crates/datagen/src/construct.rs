@@ -67,28 +67,43 @@ pub fn build_dataset(world: &World, cfg: &WorldConfig) -> Dataset {
         let p = *pmt_node
             .entry(rec.pmt)
             .or_insert_with(|| b.add_entity(NodeType::Pmt));
-        // xlint: allow(p1, reason = "txn→entity links are schema-legal by construction; link() only rejects entity-entity pairs")
+        #[expect(
+            clippy::expect_used,
+            reason = "txn→entity links are schema-legal by construction; link() only rejects entity-entity pairs"
+        )]
         b.link(t, p).expect("txn-pmt link");
         let e = *email_node
             .entry(rec.email)
             .or_insert_with(|| b.add_entity(NodeType::Email));
-        // xlint: allow(p1, reason = "txn→entity links are schema-legal by construction")
+        #[expect(
+            clippy::expect_used,
+            reason = "txn→entity links are schema-legal by construction"
+        )]
         b.link(t, e).expect("txn-email link");
         let a = *addr_node
             .entry(rec.addr)
             .or_insert_with(|| b.add_entity(NodeType::Addr));
-        // xlint: allow(p1, reason = "txn→entity links are schema-legal by construction")
+        #[expect(
+            clippy::expect_used,
+            reason = "txn→entity links are schema-legal by construction"
+        )]
         b.link(t, a).expect("txn-addr link");
         if let Some(buyer) = rec.buyer {
             let u = *buyer_node
                 .entry(buyer)
                 .or_insert_with(|| b.add_entity(NodeType::Buyer));
-            // xlint: allow(p1, reason = "txn→entity links are schema-legal by construction")
+            #[expect(
+                clippy::expect_used,
+                reason = "txn→entity links are schema-legal by construction"
+            )]
             b.link(t, u).expect("txn-buyer link");
         }
     }
 
-    // xlint: allow(p1, reason = "every node added above was linked through the builder, so finish() cannot observe an inconsistency")
+    #[expect(
+        clippy::expect_used,
+        reason = "every node added above was linked through the builder, so finish() cannot observe an inconsistency"
+    )]
     let full = b.finish().expect("builder consistency");
 
     // Ground-truth risk, event times and mechanisms on the full graph.

@@ -25,6 +25,20 @@
 //! reproduce the published node-type mix, sparsity and fraud rate at laptop
 //! scale.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod config;
 mod construct;
 mod dataset;

@@ -139,7 +139,10 @@ pub fn stream_dataset_to_dir(
 
         let mut attach = |slot: &mut Option<NodeId>, ty: NodeType| {
             let e = *slot.get_or_insert_with(|| b.add_entity(ty));
-            // xlint: allow(p1, reason = "txn→entity links are schema-legal by construction; link() only rejects entity-entity pairs")
+            #[expect(
+                clippy::expect_used,
+                reason = "txn→entity links are schema-legal by construction; link() only rejects entity-entity pairs"
+            )]
             b.link(t, e).expect("txn-entity link");
         };
         attach(&mut pmt_node[rec.pmt], NodeType::Pmt);
@@ -163,7 +166,10 @@ pub fn stream_dataset_to_dir(
     log.into_inner().map_err(|e| e.into_error())?.sync_all()?;
     drop((pmt_node, email_node, addr_node, buyer_node));
 
-    // xlint: allow(p1, reason = "every node added above was linked through the builder, so finish() cannot observe an inconsistency")
+    #[expect(
+        clippy::expect_used,
+        reason = "every node added above was linked through the builder, so finish() cannot observe an inconsistency"
+    )]
     let full = b.finish().expect("builder consistency");
     let keep = filter_small_components(&full, cfg.min_neighborhood_txns);
     let (graph, map) = full.induced_subgraph(&keep);

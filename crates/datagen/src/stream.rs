@@ -69,9 +69,10 @@ pub fn event_stream(world: &World, cfg: &WorldConfig, first_node_id: NodeId) -> 
     let mut buyer_node: HashMap<usize, NodeId> = HashMap::new();
 
     let mut arrivals = Vec::with_capacity(order.len());
-    // Not a plain loop counter: `next_id` also advances inside `attach`
-    // whenever a first-seen entity is created.
-    #[allow(clippy::explicit_counter_loop)]
+    #[allow(
+        clippy::explicit_counter_loop,
+        reason = "not a plain loop counter: `next_id` also advances inside `attach` whenever a first-seen entity is created"
+    )]
     for rec_idx in order {
         let rec = &world.records[rec_idx];
         let mut events = Vec::with_capacity(9);

@@ -306,7 +306,10 @@ fn draw_risk(mechanism: FraudMechanism, rng: &mut StdRng) -> f32 {
 /// `emit` with each. Memory is O(one unit); nothing accumulates. Two
 /// invocations with the same `cfg` produce identical streams — the
 /// foundation of the two-pass on-disk build.
-#[allow(clippy::too_many_lines)]
+#[allow(
+    clippy::too_many_lines,
+    reason = "the world's phases run as one script over a shared RNG stream and record index; splitting it would thread both through every helper"
+)]
 pub fn stream_records(cfg: &WorldConfig, mut emit: impl FnMut(StreamRecord)) {
     let lay = EntityLayout::new(cfg);
     let mut rec_idx: u64 = 0;

@@ -23,6 +23,20 @@
 //! dense feature batches straight from disk — the out-of-core loader path
 //! used by the streaming dataset in `xfraud-datagen`.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod error;
 mod mmap;
 mod segment;

@@ -602,7 +602,10 @@ where
         let mut emitted = false;
         for it in iters.iter_mut() {
             if it.peek().is_some_and(|(k, _)| *k == min.as_slice()) {
-                // xlint: allow(p1, reason = "peek() just confirmed the item exists; next() cannot return None")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "peek() just confirmed the item exists; next() cannot return None"
+                )]
                 let (k, v) = it.next().expect("peeked item");
                 if !emitted {
                     f(k, v);
@@ -615,9 +618,11 @@ where
 
 impl KvStore for DiskStore {
     fn put(&self, key: &[u8], value: &[u8]) {
-        self.try_put(key, value)
-            // xlint: allow(p1, reason = "KvStore::put is infallible by contract; disk failure under a benchmark/training store is fatal, matching LogStore")
-            .expect("diskstore write failed");
+        #[expect(
+            clippy::expect_used,
+            reason = "KvStore::put is infallible by contract; disk failure under a benchmark/training store is fatal, matching LogStore"
+        )]
+        self.try_put(key, value).expect("diskstore write failed");
     }
 
     fn get(&self, key: &[u8]) -> Option<Bytes> {

@@ -15,6 +15,20 @@
 //! After every step all replicas hold bit-identical parameters; the unit
 //! tests assert it, and [`DdpTrainer::fit`] debug-asserts it each epoch.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod ddp;
 mod partition;
 mod pic;

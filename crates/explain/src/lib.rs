@@ -23,6 +23,20 @@
 //! * [`viz`] — Graphviz DOT renderings of communities with edge weights
 //!   (the Fig. 6/11/16/17 case-study pictures).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod annotate;
 pub mod centrality;
 mod featmask;

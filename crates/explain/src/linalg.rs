@@ -8,7 +8,10 @@ use xfraud_tensor::Tensor;
 
 /// Solves `A x = b` for square `A` by Gaussian elimination with partial
 /// pivoting. Returns `None` if `A` is (numerically) singular.
-#[allow(clippy::needless_range_loop)] // elimination reads two rows of `m` at once
+#[allow(
+    clippy::needless_range_loop,
+    reason = "elimination reads two rows of `m` at once"
+)]
 pub fn solve(a: &Tensor, b: &[f64]) -> Option<Vec<f64>> {
     let n = a.rows();
     assert_eq!(a.cols(), n);

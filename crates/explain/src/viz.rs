@@ -11,6 +11,10 @@ use xfraud_hetgraph::{Community, NodeType};
 /// transactions are boxes (red = fraud, green = legit, grey = unlabelled),
 /// entities are ellipses labelled by type. Edge pen width scales with the
 /// supplied weight (aligned with `community.graph.undirected_links()`).
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write for String never returns Err"
+)]
 pub fn community_dot(community: &Community, edge_weights: &[f64], title: &str) -> String {
     let g = &community.graph;
     let links = g.undirected_links();

@@ -99,7 +99,10 @@ impl GatLayer {
         ind
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "a layer forward takes the session, weights, batch, edge mask, dropout, mode and RNG as separate per-call inputs"
+    )]
     fn forward(
         &self,
         sess: &mut Session,

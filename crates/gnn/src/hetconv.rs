@@ -157,7 +157,10 @@ impl Projection {
 impl HetConvLayer {
     /// `first_layer` controls the edge-type embedding (eq. 4/6 add `φ(e)` on
     /// layer 1 only) and whether a residual is possible (`d_in == d_out`).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per hyper-parameter of the layer in eqs. 4-6, plus the param store and RNG it is built from"
+    )]
     pub fn new(
         store: &mut ParamStore,
         name: &str,
@@ -184,7 +187,10 @@ impl HetConvLayer {
     /// Like [`HetConvLayer::new`] but optionally with HGT-style per-node-
     /// type K/Q/V projections — the configuration the paper ablated away
     /// ("we do not allow target-specific aggregation ... shared weights").
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per hyper-parameter of the layer in eqs. 4-6 and the per-type ablation flag, plus the param store and RNG"
+    )]
     pub fn with_projections(
         store: &mut ParamStore,
         name: &str,
@@ -233,7 +239,10 @@ impl HetConvLayer {
     /// rows (`[n_in, d_in]`); returns its `n'` output rows (`[n', d_out]`).
     /// Only the field's `E'` edges are projected, attended and aggregated.
     /// `edge_mask` is over all `E` batch edges (`[E, 1]`).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "a layer forward takes the session, weights, batch, field, edge mask, mode and RNG as separate per-call inputs"
+    )]
     pub fn forward(
         &self,
         sess: &mut Session,

@@ -19,6 +19,20 @@
 //! ([`Masks`]) the GNNExplainer needs: a per-edge mask multiplying messages
 //! before aggregation and a node-feature mask multiplying the input features.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod batch;
 mod detector;
 mod engine;

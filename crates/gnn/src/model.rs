@@ -120,7 +120,7 @@ pub fn average_grads(
         for (id, gt) in set {
             avg.entry(id.index())
                 .and_modify(|t| {
-                    // xlint: allow(p1, reason = "all workers run the same model, so per-id grad shapes match by construction")
+                    #[expect(clippy::expect_used, reason = "all workers run the same model, so per-id grad shapes match by construction")]
                     t.add_assign(gt).expect("same shape");
                 })
                 .or_insert_with(|| gt.clone());

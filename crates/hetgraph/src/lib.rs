@@ -18,6 +18,20 @@
 //!   into edge weights (Appendix F).
 //! * [`GraphStats`] — the Table 2/5/6 statistics.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod builder;
 mod community;
 mod csr;

@@ -20,6 +20,20 @@
 //! build, *replaying a full log reproduces the graph exactly* — the
 //! property `tests/ingest_replay.rs` pins down.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod codec;
 mod error;
 mod wal;

@@ -19,6 +19,20 @@
 //! Configuration goes through [`KernelConfig::builder`] — a validating
 //! builder whose `build()` is the only path to a non-default config.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod bc;
 mod config;
 mod error;

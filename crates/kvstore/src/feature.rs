@@ -98,6 +98,10 @@ impl FeatureStore {
         assert!(n_threads > 0);
         // xlint: allow(d2, reason = "throughput measurement is the whole point of this Fig. 12/13 harness")
         let start = Instant::now();
+        #[expect(
+            clippy::expect_used,
+            reason = "a panicked loader thread means the benchmark result is meaningless; propagating is correct"
+        )]
         crossbeam::scope(|scope| {
             for chunk in ids.chunks(ids.len().div_ceil(n_threads)) {
                 scope.spawn(move |_| {
@@ -107,7 +111,6 @@ impl FeatureStore {
                 });
             }
         })
-        // xlint: allow(p1, reason = "a panicked loader thread means the benchmark result is meaningless; propagating is correct")
         .expect("loader thread panicked");
         let secs = start.elapsed().as_secs_f64();
         (ids.len(), secs, ids.len() as f64 / secs.max(1e-12))

@@ -241,7 +241,10 @@ pub fn next_checked_frame(buf: &[u8], pos: usize) -> CheckedFrameStep {
             let Some(stored) = buf.get(next..next + 4) else {
                 return CheckedFrameStep::Truncated;
             };
-            // xlint: allow(p1, reason = "get() above proved the 4-byte slice exists; try_into on &[u8;4] cannot fail")
+            #[expect(
+                clippy::expect_used,
+                reason = "get() above proved the 4-byte slice exists; try_into on &[u8;4] cannot fail"
+            )]
             let stored = u32::from_le_bytes(stored.try_into().expect("4-byte slice"));
             if crc32(&buf[pos..next]) != stored {
                 return CheckedFrameStep::Corrupt;

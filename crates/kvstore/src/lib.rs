@@ -21,6 +21,20 @@
 //! ([`FeatureStore::load_parallel`]) that is what the distributed workers
 //! use per §3.3.3 ("each worker has its own data loader").
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod feature;
 pub mod framing;
 mod log_store;

@@ -75,7 +75,10 @@ impl KvStore for LogStore {
         let value_offset;
         {
             let mut app = self.appender.lock();
-            // xlint: allow(p1, reason = "the KvStore trait is infallible by design (PR 1); an append failure leaves no sane continuation")
+            #[expect(
+                clippy::expect_used,
+                reason = "the KvStore trait is infallible by design (PR 1); an append failure leaves no sane continuation"
+            )]
             app.write_handle.write_all(&rec).expect("log append");
             value_offset = app.offset + crate::framing::value_offset(key.len()) as u64;
             app.offset += rec.len() as u64;
@@ -88,7 +91,10 @@ impl KvStore for LogStore {
     fn get(&self, key: &[u8]) -> Option<Bytes> {
         let (offset, len) = *self.index[self.shard_of(key)].read().get(key)?;
         let mut buf = vec![0u8; len as usize];
-        // xlint: allow(p1, reason = "offset/len come from our own index; a short read means the log file was truncated externally")
+        #[expect(
+            clippy::expect_used,
+            reason = "offset/len come from our own index; a short read means the log file was truncated externally"
+        )]
         self.file.read_exact_at(&mut buf, offset).expect("log read");
         Some(Bytes::from(buf))
     }

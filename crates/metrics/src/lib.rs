@@ -13,6 +13,20 @@
 //! * [`precision_at_base_rate`] — the Appendix-H.4 back-mapping of precision
 //!   onto the unsampled fraud rate.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod curves;
 mod threshold;
 

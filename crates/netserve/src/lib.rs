@@ -28,6 +28,20 @@
 //! client behaviour — slow-loris drips, half-closed sockets, mid-request
 //! disconnects — can leak an in-flight permit.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod client;
 pub mod error;
 pub mod http;

@@ -358,7 +358,11 @@ fn acceptor_loop(
                     m.conns_closed.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                let _ = stream.set_nodelay(true); // xlint: allow(e1, reason = "Nagle stays on if the socket refuses; latency hint only, never a failure")
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "Nagle stays on if the socket refuses; latency hint only, never a failure"
+                )]
+                let _ = stream.set_nodelay(true);
                 m.active_conns.fetch_add(1, Ordering::AcqRel);
                 let w = next_worker % conn_txs.len();
                 next_worker = next_worker.wrapping_add(1);
@@ -386,10 +390,22 @@ fn refuse(stream: TcpStream, shared: &ServerShared) {
     m.observe_response(503);
     let body = encode_error_body("server connection limit reached");
     let bytes = write_response(503, &body, false);
-    let _ = stream.set_nonblocking(false); // xlint: allow(e1, reason = "refusal is best-effort by contract; the connection drops either way")
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(100))); // xlint: allow(e1, reason = "refusal is best-effort by contract; the connection drops either way")
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "refusal is best-effort by contract; the connection drops either way"
+    )]
+    let _ = stream.set_nonblocking(false);
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "refusal is best-effort by contract; the connection drops either way"
+    )]
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
     let mut stream = stream;
-    let _ = stream.write_all(&bytes); // xlint: allow(e1, reason = "a peer that hung up before reading its 503 is already counted refused")
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "a peer that hung up before reading its 503 is already counted refused"
+    )]
+    let _ = stream.write_all(&bytes);
     m.conns_closed.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -412,7 +428,10 @@ fn scorer_loop(
         // is still connected — disconnects must not leak capacity.
         shared.metrics.in_flight.fetch_sub(1, Ordering::AcqRel);
         if let Some(tx) = result_txs.get(job.worker) {
-            // xlint: allow(e1, reason = "worker already exited at shutdown; the permit above is released either way")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "worker already exited at shutdown; the permit above is released either way"
+            )]
             let _ = tx.send(ScoreDone {
                 conn_id: job.conn_id,
                 keep_alive: job.keep_alive,
@@ -832,7 +851,10 @@ fn route_get(path: &str, shared: &ServerShared) -> (u16, Vec<u8>) {
 }
 
 /// Admission control and hand-off to the scorer crew.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the connection, request, worker index, shared state, job queue, clock and shutdown flag are distinct inputs of one event-loop step"
+)]
 fn dispatch_score(
     conn: &mut Conn,
     body: &[u8],

@@ -147,7 +147,10 @@ pub struct Ffn {
 }
 
 impl Ffn {
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per FFN hyper-parameter (widths, depth, dropout), plus the param store and RNG it is built from"
+    )]
     pub fn new(
         store: &mut ParamStore,
         name: &str,

@@ -13,6 +13,20 @@
 //!   detector and baselines are assembled from.
 //! * [`AdamW`] — decoupled weight decay Adam with global-norm clipping.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod layers;
 mod optim;
 mod param;

@@ -19,6 +19,20 @@
 //! before the expensive GNN stage, trading a bounded recall loss for a much
 //! smaller candidate stream (the Appendix-H.4 arithmetic).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod miner;
 mod rule;
 

@@ -259,7 +259,10 @@ impl Shared {
                     results[at].clone()
                 })
                 .collect();
-            // xlint: allow(e1, reason = "a caller that gave up (dropped its receiver) is not an error")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a caller that gave up (dropped its receiver) is not an error"
+            )]
             let _ = req.reply.send(scores);
         }
     }

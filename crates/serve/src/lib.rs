@@ -44,6 +44,20 @@
 //! [`ScoringEngine::compact`] folds the overlay back into an immutable CSR
 //! base without perturbing scores.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod cache;
 mod engine;
 mod error;

@@ -81,7 +81,10 @@ impl ServeMetrics {
 
     /// Snapshot with the cache tiers' counters folded in (the caches keep
     /// their own hit/miss atomics; the engine passes them through here).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "each argument is one hit/miss/entry counter the engine reads from its two cache tiers"
+    )]
     pub fn snapshot(
         &self,
         subgraph_hits: u64,

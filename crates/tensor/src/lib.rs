@@ -32,6 +32,20 @@
 //! assert_eq!(gw.get(0, 0), 4.0); // d(sum)/dw0 = x00 + x10
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod error;
 pub mod kernels;
 mod ops;

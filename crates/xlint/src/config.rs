@@ -180,7 +180,7 @@ mod tests {
 [rules.d1]
 crates = ["hetgraph", "gnn"]
 
-[rules.p1]
+[rules.d2]
 crates = [
     "serve",
     "ingest",
@@ -193,13 +193,13 @@ skip_bins = true
         let cfg = Config::parse(SAMPLE).unwrap();
         assert_eq!(cfg.rules["d1"].crates, ["hetgraph", "gnn"]);
         assert!(!cfg.rules["d1"].skip_bins);
-        assert_eq!(cfg.rules["p1"].crates, ["serve", "ingest"]);
-        assert!(cfg.rules["p1"].skip_bins);
+        assert_eq!(cfg.rules["d2"].crates, ["serve", "ingest"]);
+        assert!(cfg.rules["d2"].skip_bins);
     }
 
     #[test]
     fn a_stale_baseline_table_is_rejected_with_its_line() {
-        let text = "[rules.p1]\ncrates = [\"dist\"]\n\n[[baseline]]\nrule = \"P1\"\n";
+        let text = "[rules.d2]\ncrates = [\"dist\"]\n\n[[baseline]]\nrule = \"D2\"\n";
         let e = Config::parse(text).unwrap_err();
         assert_eq!(e.line, 4, "{e}");
         assert!(e.message.contains("[[baseline]]"), "{e}");

@@ -36,7 +36,7 @@ pub enum TokenKind {
 }
 
 /// A comment with its position — kept out of the token stream, but scanned
-/// for `xlint: allow(...)` directives.
+/// for `xlint: allow` directives.
 #[derive(Debug, Clone)]
 pub struct Comment {
     pub text: String,

@@ -5,12 +5,15 @@
 //! concurrency/batching, WAL-replay bit-identity. Those invariants are
 //! enforced by tests, which only catch regressions the generators happen to
 //! hit. `xlint` makes the underlying coding rules mechanical — per-file
-//! rules (D1/D2/P1/L1/U1/A1/A2/E1) and interprocedural ones over the
-//! workspace call and lock graphs (L2/D3/F1/U2); [`rules`] lists what each
-//! one encodes.
+//! rules (D1/D2/L1/U1/A1/A2) and interprocedural ones over the workspace
+//! call and lock graphs (L2/D3/F1/U2); [`rules`] lists what each one
+//! encodes. Panic-freedom and discarded results (P1/E1) are clippy lints,
+//! denied by a block in each library crate's `lib.rs` (DESIGN App. A).
 //!
-//! Each finding is either fixed or suppressed inline with
-//! `// xlint: allow(<rule>, reason = "…")` (collected into an audit table).
+//! Each finding is either fixed or suppressed inline with an
+//! `xlint: allow` comment naming the rule and its reason, e.g.
+//! `// xlint: allow(d2, reason = "…")` (collected into an audit table).
+//! A directive whose id names no rule is an error.
 //! Nothing is grandfathered: `--check` fails on any live violation.
 //!
 //! There is no `syn` in the offline build image, so the tool lexes Rust
@@ -115,6 +118,24 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<LintReport> 
         ));
     }
     let ws = Workspace::load(root)?;
+    // A directive for an id with no rule would be read by nothing.
+    for sf in &ws.files {
+        if let Some(a) = sf
+            .allows
+            .iter()
+            .find(|a| !RULES.iter().any(|(r, _)| r.eq_ignore_ascii_case(&a.rule)))
+        {
+            return Err(Error::new(
+                ErrorKind::InvalidInput,
+                format!(
+                    "{}:{}: `xlint: allow({})` names no xlint rule",
+                    sf.path,
+                    a.line,
+                    a.rule.to_ascii_lowercase()
+                ),
+            ));
+        }
+    }
     for (id, scope) in &cfg.rules {
         if let Some(krate) = scope.crates.iter().find(|k| !ws.crates.contains(k)) {
             return Err(Error::new(

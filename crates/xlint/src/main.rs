@@ -8,7 +8,7 @@ use xlint::unsafe_scan::{inventory, render_markdown};
 use xlint::{find_root, lint_workspace, Workspace};
 
 const USAGE: &str = "\
-xlint — workspace lint pass for determinism, panic-safety and lock discipline
+xlint — workspace lint pass for determinism, lock discipline and soundness
 
 USAGE:
     cargo run -p xlint -- [OPTIONS]

@@ -7,7 +7,6 @@
 //! |----|-----------|
 //! | D1 | no `HashMap`/`HashSet` *iteration* in determinism-critical crates — iteration order is nondeterministic and must never reach scores, samples or serialized artefacts |
 //! | D2 | no ambient nondeterminism (`thread_rng`, `rand::random`, `SystemTime::now`, `Instant::now`, `std::env`) outside the bench/metrics/CLI timing allowlist |
-//! | P1 | no `unwrap`/`expect`/`panic!`-family in library code outside `#[cfg(test)]` |
 //! | L1 | no lock acquisition whose poison is unwrapped without recovery, and no lock guard held across a call into another workspace crate |
 //!
 //! The interprocedural family (PR 6) consumes the workspace call and lock
@@ -28,28 +27,23 @@
 //! | A1 | no `Relaxed` store-side atomic op on a field touched by more than one function — publishes need Release/AcqRel or an audited allow |
 //! | A2 | no asymmetric store/load ordering pair on one atomic field (Release store + Relaxed load, or Relaxed store + Acquire load) |
 //! | F1 | every `rename` reachable from library code is dominated by `sync_all`/`sync_data` on the same call path (write-temp→fsync→rename) |
-//! | E1 | no `let _ =`-discarded call results in library code — handle, log, or propagate the error |
 
 mod a1;
 mod d1;
 mod d2;
 mod d3;
-mod e1;
 mod f1;
 mod l1;
 mod l2;
-mod p1;
 mod u1;
 
 pub use a1::{check_a1, check_a2};
 pub use d1::check_d1;
 pub use d2::check_d2;
 pub use d3::check_d3;
-pub use e1::check_e1;
 pub use f1::check_f1;
 pub use l1::check_l1;
 pub use l2::check_l2;
-pub use p1::check_p1;
 pub use u1::{check_u1, check_u2};
 
 use crate::config::RuleScope;
@@ -73,9 +67,7 @@ pub(crate) const RULES: &[(&str, Check)] = &[
     ("a2", Check::File(check_a2)),
     ("d1", Check::File(check_d1)),
     ("d2", Check::File(check_d2)),
-    ("e1", Check::File(check_e1)),
     ("l1", Check::File(check_l1)),
-    ("p1", Check::File(check_p1)),
     ("u1", Check::File(check_u1)),
     (
         "d3",
@@ -92,7 +84,7 @@ pub(crate) const RULES: &[(&str, Check)] = &[
 /// One rule hit, before allow filtering.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// The rule id, upper case (`"D1"`, `"P1"`, `"L2"`, …).
+    /// The rule id, upper case (`"D1"`, `"L1"`, `"L2"`, …).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub file: String,

@@ -1,6 +1,6 @@
 //! A source file, lexed and parsed once, plus the derived facts every rule
 //! needs: which lines are test-only code, which lines carry
-//! `xlint: allow(...)` directives, and which workspace-crate names the file
+//! `xlint: allow` directives, and which workspace-crate names the file
 //! imports.
 
 use std::collections::BTreeSet;
@@ -10,14 +10,14 @@ use crate::config::crate_dir;
 use crate::lexer::{lex, Comment, Token, TokenKind};
 use crate::parser::{parse_file, ParsedFile};
 
-/// An inline suppression: `// xlint: allow(p1, reason = "…")`.
+/// An inline suppression: `// xlint: allow(d2, reason = "…")`.
 ///
 /// A directive suppresses matching violations on its own line and on the
 /// next source line (so it can trail the offending expression or sit on the
 /// line above it, whichever rustfmt prefers).
 #[derive(Debug, Clone)]
 pub struct AllowDirective {
-    /// Rule id, upper-cased (`"D1"`, `"P1"`, …).
+    /// Rule id, upper-cased (`"D1"`, `"D2"`, …).
     pub rule: String,
     pub reason: Option<String>,
     pub line: u32,
@@ -167,7 +167,8 @@ fn match_test_attribute(tokens: &[Token], i: usize) -> Option<usize> {
     is_test.then_some(j)
 }
 
-/// Extracts `xlint: allow(rule, reason = "…")` directives from comments.
+/// Extracts `xlint: allow` directives (a rule id, then an optional
+/// `reason = "…"`) from comments.
 /// Multi-line block comments attribute the directive to their *last* line,
 /// matching the "directive covers the next line" convention.
 fn collect_allows(comments: &[Comment]) -> Vec<AllowDirective> {
@@ -255,16 +256,16 @@ mod tests {
 
     #[test]
     fn allow_directives_parse_rule_and_reason() {
-        let src = "let x = 1; // xlint: allow(p1, reason = \"bounded by construction\")\n";
+        let src = "let x = 1; // xlint: allow(d2, reason = \"bounded by construction\")\n";
         let f = file(src);
         assert_eq!(f.allows.len(), 1);
-        assert_eq!(f.allows[0].rule, "P1");
+        assert_eq!(f.allows[0].rule, "D2");
         assert_eq!(
             f.allows[0].reason.as_deref(),
             Some("bounded by construction")
         );
-        assert!(f.allowed("P1", 1).is_some());
-        assert!(f.allowed("P1", 2).is_some(), "covers the next line too");
+        assert!(f.allowed("D2", 1).is_some());
+        assert!(f.allowed("D2", 2).is_some(), "covers the next line too");
         assert!(f.allowed("D1", 1).is_none());
     }
 

@@ -8,15 +8,12 @@ use std::path::Path;
 
 use xlint::config::Config;
 use xlint::lint_workspace;
-use xlint::rules::{
-    check_a1, check_a2, check_d1, check_d2, check_e1, check_l1, check_p1, check_u1, Violation,
-};
+use xlint::rules::{check_a1, check_a2, check_d1, check_d2, check_l1, check_u1, Violation};
 use xlint::source::SourceFile;
 
 /// The per-file rules, in the order their findings are listed below.
-const PER_FILE_RULES: [fn(&SourceFile) -> Vec<Violation>; 8] = [
-    check_d1, check_d2, check_p1, check_l1, check_u1, check_a1, check_a2, check_e1,
-];
+const PER_FILE_RULES: [fn(&SourceFile) -> Vec<Violation>; 6] =
+    [check_d1, check_d2, check_l1, check_u1, check_a1, check_a2];
 
 type Golden = (
     &'static str,
@@ -76,18 +73,6 @@ const FIXTURES: &[Golden] = &[
         D2_BAD_SUPPRESSED,
     ),
     (
-        "e1_allowed.rs",
-        include_str!("fixtures/e1_allowed.rs"),
-        E1_ALLOWED_LIVE,
-        E1_ALLOWED_SUPPRESSED,
-    ),
-    (
-        "e1_bad.rs",
-        include_str!("fixtures/e1_bad.rs"),
-        E1_BAD_LIVE,
-        E1_BAD_SUPPRESSED,
-    ),
-    (
         "l1_allowed.rs",
         include_str!("fixtures/l1_allowed.rs"),
         L1_ALLOWED_LIVE,
@@ -98,18 +83,6 @@ const FIXTURES: &[Golden] = &[
         include_str!("fixtures/l1_bad.rs"),
         L1_BAD_LIVE,
         L1_BAD_SUPPRESSED,
-    ),
-    (
-        "p1_allowed.rs",
-        include_str!("fixtures/p1_allowed.rs"),
-        P1_ALLOWED_LIVE,
-        P1_ALLOWED_SUPPRESSED,
-    ),
-    (
-        "p1_bad.rs",
-        include_str!("fixtures/p1_bad.rs"),
-        P1_BAD_LIVE,
-        P1_BAD_SUPPRESSED,
     ),
     (
         "u1_allowed.rs",
@@ -204,40 +177,17 @@ const D2_BAD_LIVE: &[&str] = &[
     "d2_bad.rs:8: [D2] `std::env` is ambient nondeterminism — derive RNGs from explicit seeds (`batch_rng`) and keep clock reads out of determinism-critical crates, or justify with `// xlint: allow(d2, reason = \"…\")`",
 ];
 const D2_BAD_SUPPRESSED: &[&str] = &[];
-const E1_ALLOWED_LIVE: &[&str] = &[];
-const E1_ALLOWED_SUPPRESSED: &[&str] = &[
-    "e1_allowed.rs:6: [E1] `let _ =` discards the result of `send(…)` along with its error — handle it, log it, or propagate a typed error",
-];
-const E1_BAD_LIVE: &[&str] = &[
-    "e1_bad.rs:5: [E1] `let _ =` discards the result of `send(…)` along with its error — handle it, log it, or propagate a typed error",
-    "e1_bad.rs:9: [E1] `let _ =` discards the result of `fallible(…)` along with its error — handle it, log it, or propagate a typed error",
-];
-const E1_BAD_SUPPRESSED: &[&str] = &[];
 const L1_ALLOWED_LIVE: &[&str] = &[];
 const L1_ALLOWED_SUPPRESSED: &[&str] = &[
     "l1_allowed.rs:22: [L1] guard `g` is still live across a call into `predict_scores` — a cross-crate call under a lock is a deadlock/latency hazard; drop the guard first or justify with `// xlint: allow(l1, reason = \"…\")`",
 ];
 const L1_BAD_LIVE: &[&str] = &[
-    "l1_bad.rs:12: [P1] `.unwrap()` in library code panics on failure — return a typed error, or justify the invariant with `// xlint: allow(p1, reason = \"…\")`",
-    "l1_bad.rs:36: [P1] `.unwrap()` in library code panics on failure — return a typed error, or justify the invariant with `// xlint: allow(p1, reason = \"…\")`",
     "l1_bad.rs:12: [L1] `.lock().unwrap()` propagates lock poison as a panic — recover the guard (`unwrap_or_else(PoisonError::into_inner)`) or surface a typed error",
     "l1_bad.rs:17: [L1] guard `g` is still live across a call into `predict_scores` — a cross-crate call under a lock is a deadlock/latency hazard; drop the guard first or justify with `// xlint: allow(l1, reason = \"…\")`",
     "l1_bad.rs:31: [L1] guard `g` is still live across a call into `predict_scores` — a cross-crate call under a lock is a deadlock/latency hazard; drop the guard first or justify with `// xlint: allow(l1, reason = \"…\")`",
     "l1_bad.rs:36: [L1] `.lock().unwrap()` propagates lock poison as a panic — recover the guard (`unwrap_or_else(PoisonError::into_inner)`) or surface a typed error",
 ];
 const L1_BAD_SUPPRESSED: &[&str] = &[];
-const P1_ALLOWED_LIVE: &[&str] = &[];
-const P1_ALLOWED_SUPPRESSED: &[&str] = &[
-    "p1_allowed.rs:6: [P1] `.expect()` in library code panics on failure — return a typed error, or justify the invariant with `// xlint: allow(p1, reason = \"…\")`",
-    "p1_allowed.rs:11: [P1] `.unwrap()` in library code panics on failure — return a typed error, or justify the invariant with `// xlint: allow(p1, reason = \"…\")`",
-];
-const P1_BAD_LIVE: &[&str] = &[
-    "p1_bad.rs:4: [P1] `.unwrap()` in library code panics on failure — return a typed error, or justify the invariant with `// xlint: allow(p1, reason = \"…\")`",
-    "p1_bad.rs:5: [P1] `.expect()` in library code panics on failure — return a typed error, or justify the invariant with `// xlint: allow(p1, reason = \"…\")`",
-    "p1_bad.rs:7: [P1] `panic!` in library code aborts the thread — return a typed error, or justify with `// xlint: allow(p1, reason = \"…\")`",
-    "p1_bad.rs:10: [P1] `unreachable!` in library code aborts the thread — return a typed error, or justify with `// xlint: allow(p1, reason = \"…\")`",
-];
-const P1_BAD_SUPPRESSED: &[&str] = &[];
 const U1_ALLOWED_LIVE: &[&str] = &[];
 const U1_ALLOWED_SUPPRESSED: &[&str] = &[
     "u1_allowed.rs:30: [U1] `unsafe` block in `audited` has no adjacent `// SAFETY:` justification — state the contract and why it holds on the line(s) directly above",

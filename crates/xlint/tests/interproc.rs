@@ -1,6 +1,6 @@
 //! Integration tests for the interprocedural rules (L2/D3/F1) over the
-//! fixture mini-workspace in `tests/fixtures/ws_interproc/`, scope
-//! validation, and the whole-workspace graph-construction test.
+//! fixture mini-workspace in `tests/fixtures/ws_interproc/`, scope and
+//! directive validation, and the whole-workspace graph-construction test.
 
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
@@ -123,6 +123,18 @@ fn a_missing_crate_in_any_rule_scope_is_an_error() {
     assert_eq!(err.kind(), ErrorKind::NotFound, "{err}");
     assert!(
         err.to_string().contains("rule l2 to missing crate `nope`"),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_directive_naming_no_rule_is_an_error() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws_stale_allow");
+    let err = lint_workspace(&root, &Config::default()).expect_err("`p1` is not an xlint rule");
+    assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+    assert!(
+        err.to_string()
+            .starts_with("crates/stale/src/lib.rs:4: `xlint: allow(p1)`"),
         "{err}"
     );
 }
