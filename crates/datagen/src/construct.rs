@@ -29,6 +29,7 @@ pub fn build_dataset(world: &World, cfg: &WorldConfig) -> Dataset {
 
     let est_nodes = world.records.len() * 2;
     let mut b = GraphBuilder::with_capacity(cfg.feature_dim, est_nodes, world.records.len() * 4);
+    b.reserve_txns(world.records.len());
 
     // Entity nodes are created lazily on first use.
     let mut pmt_node: HashMap<usize, NodeId> = HashMap::new();

@@ -8,9 +8,9 @@ use xfraud_nn::{Embedding, Ffn, Layer, Linear, ParamStore, Session};
 use xfraud_tensor::{kernels, Var};
 
 use crate::batch::SubgraphBatch;
-use crate::field::Field;
+use crate::field::{Field, Fields};
 use crate::hetconv::HetConvLayer;
-use crate::infer::{at_least, with_arena, SourcePairs};
+use crate::infer::{at_least, with_arena, Work};
 use crate::model::{predict_on_tape, Masks, Model};
 
 /// Hyper-parameters of the detector. The paper trains with
@@ -139,6 +139,81 @@ impl XFraudDetector {
             head,
         }
     }
+
+    /// The scores of [`Model::predict`], computed over the given fields
+    /// instead of the targets' own: over [`Fields::all`] every layer
+    /// computes every row, the unpruned reference the pruned scores are
+    /// tested against. Scores on the tape (which ignores `fields`) where
+    /// `predict` does.
+    pub fn predict_over(&self, batch: &SubgraphBatch, fields: &Fields) -> Vec<f32> {
+        if !self.convs.iter().all(HetConvLayer::can_infer) {
+            return predict_on_tape(self, batch, &mut StdRng::seed_from_u64(0));
+        }
+        with_arena(|arena| self.infer(batch, fields, &mut arena.work))
+    }
+
+    /// The tape-free eval-mode forward over `fields`, which must hold one
+    /// field per layer.
+    fn infer(&self, batch: &SubgraphBatch, fields: &Fields, work: &mut Work) -> Vec<f32> {
+        let (f, d) = (self.cfg.feature_dim, self.cfg.hidden);
+        let n_in = fields.inputs.len();
+        let x = at_least(&mut work.x, n_in * f);
+        let mut h = at_least(&mut work.h, n_in * d);
+        let mut h_next = at_least(&mut work.h_next, n_in * d);
+
+        // eq. 2: X + τ(v)^emb, on the input projection's rows only.
+        let type_emb = self.store.value(self.type_emb.table);
+        let embed = |v: usize, out: &mut [f32]| {
+            let feat = &batch.features.data()[v * f..(v + 1) * f];
+            let emb = type_emb.row(batch.node_types[v].index());
+            for ((o, &a), &b) in out.iter_mut().zip(feat).zip(emb) {
+                *o = a + b;
+            }
+        };
+        for (row, &v) in x.chunks_exact_mut(f).zip(&fields.inputs) {
+            embed(v, row);
+        }
+
+        // Every layer's output rows are a subset of layer 0's input rows,
+        // so `h` and `h_next` are sized once and used by prefix.
+        self.input_proj.apply_into(&self.store, x, h);
+        let mut rows = n_in;
+        for (conv, field) in self.convs.iter().zip(fields.layers()) {
+            let n_out = field.nodes.len();
+            conv.infer(
+                &self.store,
+                &h[..rows * d],
+                batch,
+                field,
+                &mut work.conv,
+                &mut h_next[..n_out * d],
+            );
+            std::mem::swap(&mut h, &mut h_next);
+            rows = n_out;
+        }
+
+        // §3.2.1 step 3: tanh(GNN repr) ++ original features → FFN head.
+        let t = batch.targets.len();
+        let cat = at_least(&mut work.cat, t * (d + f));
+        for ((row, &tgt), &r) in cat
+            .chunks_exact_mut(d + f)
+            .zip(&batch.targets)
+            .zip(fields.target_rows())
+        {
+            let (h_t, x_t) = row.split_at_mut(d);
+            for (o, &a) in h_t.iter_mut().zip(&h[r * d..(r + 1) * d]) {
+                *o = a.tanh();
+            }
+            embed(tgt, x_t);
+        }
+        let logits = at_least(&mut work.logits, t * 2);
+        let probs = at_least(&mut work.probs, t * 2);
+        let [tmp0, tmp1] = &mut work.head_tmp;
+        let tmp = [at_least(tmp0, t * d), at_least(tmp1, t * d)];
+        self.head.apply_into(&self.store, cat, tmp, logits);
+        kernels::softmax_rows_into(logits, 2, probs);
+        probs.chunks_exact(2).map(|p| p[1]).collect()
+    }
 }
 
 impl Model for XFraudDetector {
@@ -162,7 +237,7 @@ impl Model for XFraudDetector {
         // Each layer computes only the rows the next one reads (DESIGN §4.5).
         let fields = Field::layers(batch, self.convs.len());
         let mut h = self.input_proj.forward(sess, &self.store, x);
-        for (conv, field) in self.convs.iter().zip(&fields) {
+        for (conv, field) in self.convs.iter().zip(fields.layers()) {
             h = conv.forward(
                 sess,
                 &self.store,
@@ -177,11 +252,7 @@ impl Model for XFraudDetector {
 
         // §3.2.1 step 3: tanh(GNN repr) ++ original features → FFN head.
         let tgt = Rc::new(batch.targets.clone());
-        let h_rows = match fields.last() {
-            Some(field) => Rc::new(field.rows_of(&batch.targets)),
-            None => Rc::clone(&tgt),
-        };
-        let h_t = sess.tape.gather_rows(h, h_rows);
+        let h_t = sess.tape.gather_rows(h, Rc::clone(&fields.target_rows));
         let h_t = sess.tape.tanh(h_t);
         let x_t = sess.tape.gather_rows(x, tgt);
         let cat = sess.tape.concat_cols(&[h_t, x_t]);
@@ -191,54 +262,17 @@ impl Model for XFraudDetector {
     /// Tape-free scoring: the same arithmetic as `forward` in eval mode
     /// (same kernels, same operation order, hence the same bits) over a
     /// per-thread scratch arena, with weights read from the store in place
-    /// — a swapped or retrained store is picked up by the next call. The
-    /// per-type-projection ablation has no fast path and scores on the tape.
+    /// — a swapped or retrained store is picked up by the next call. Only
+    /// the targets' receptive fields are computed, down to the rows of the
+    /// input projection (DESIGN §4.5). The per-type-projection ablation has
+    /// no fast path and scores on the tape.
     fn predict(&self, batch: &SubgraphBatch, rng: &mut StdRng) -> Vec<f32> {
         if !self.convs.iter().all(HetConvLayer::can_infer) {
             return predict_on_tape(self, batch, rng);
         }
-        let (n, t) = (batch.n_nodes(), batch.targets.len());
-        let (f, d) = (self.cfg.feature_dim, self.cfg.hidden);
         with_arena(|arena| {
-            let pairs = SourcePairs::of(batch, &mut arena.ids);
-            let x = at_least(&mut arena.x, n * f);
-            let mut h = at_least(&mut arena.h, n * d);
-            let mut h_next = at_least(&mut arena.h_next, n * d);
-
-            // eq. 2: X + τ(v)^emb.
-            let type_emb = self.store.value(self.type_emb.table);
-            for ((row, feat), ty) in x
-                .chunks_exact_mut(f)
-                .zip(batch.features.data().chunks_exact(f))
-                .zip(&batch.node_types)
-            {
-                for ((o, &a), &b) in row.iter_mut().zip(feat).zip(type_emb.row(ty.index())) {
-                    *o = a + b;
-                }
-            }
-
-            self.input_proj.apply_into(&self.store, x, h);
-            for conv in &self.convs {
-                conv.infer(&self.store, h, batch, &pairs, &mut arena.conv, h_next);
-                std::mem::swap(&mut h, &mut h_next);
-            }
-
-            // §3.2.1 step 3: tanh(GNN repr) ++ original features → FFN head.
-            let cat = at_least(&mut arena.cat, t * (d + f));
-            for (row, &tgt) in cat.chunks_exact_mut(d + f).zip(&batch.targets) {
-                let (h_t, x_t) = row.split_at_mut(d);
-                for (o, &a) in h_t.iter_mut().zip(&h[tgt * d..(tgt + 1) * d]) {
-                    *o = a.tanh();
-                }
-                x_t.copy_from_slice(&x[tgt * f..(tgt + 1) * f]);
-            }
-            let logits = at_least(&mut arena.logits, t * 2);
-            let probs = at_least(&mut arena.probs, t * 2);
-            let [tmp0, tmp1] = &mut arena.head_tmp;
-            let tmp = [at_least(tmp0, t * d), at_least(tmp1, t * d)];
-            self.head.apply_into(&self.store, cat, tmp, logits);
-            kernels::softmax_rows_into(logits, 2, probs);
-            probs.chunks_exact(2).map(|p| p[1]).collect()
+            arena.fields.rebuild(batch, self.convs.len(), false);
+            self.infer(batch, &arena.fields, &mut arena.work)
         })
     }
 

@@ -4,13 +4,15 @@
 //! layer need not produce every node of the batch — only the rows the next
 //! layer (or, for the last layer, the head) reads. Walking back from the
 //! targets: the last layer outputs the targets; each earlier layer outputs
-//! the next layer's rows plus their in-neighbours; layer 0 reads all rows of
-//! the input projection. DESIGN §4.5 explains why the pruned stack keeps the
-//! all-rows stack's bits.
+//! the next layer's rows plus their in-neighbours. The tape's layer 0 reads
+//! all rows of the input projection; the tape-free forward computes only
+//! the rows layer 0 reads. DESIGN §4.5 explains why the pruned stack keeps
+//! the all-rows stack's bits.
 
 use std::rc::Rc;
 
 use crate::batch::SubgraphBatch;
+use crate::infer::at_least;
 
 /// One layer's receptive field over a [`SubgraphBatch`], built by
 /// [`Field::layers`] (or [`Field::all`]) and read by
@@ -18,7 +20,7 @@ use crate::batch::SubgraphBatch;
 ///
 /// Rows come in two numberings: *input rows* index the layer's input
 /// matrix, *output rows* index its output (and `nodes`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Field {
     /// Batch-local node id of each output row, ascending.
     pub(crate) nodes: Vec<usize>,
@@ -30,6 +32,34 @@ pub struct Field {
     pub(crate) edge_src: Rc<Vec<usize>>,
     /// Each such edge's target, as an output row.
     pub(crate) edge_dst: Rc<Vec<usize>>,
+}
+
+/// The fields of a layer stack that feeds `batch.targets`, built once per
+/// forward. The index lists are `Rc` so the tape shares them without a
+/// copy; [`Fields::rebuild`] refills them in place, so a `Fields` kept
+/// across calls stops allocating once it has grown to the batch.
+#[derive(Debug, Clone, Default)]
+pub struct Fields {
+    /// One per layer, first layer first.
+    layers: Vec<Field>,
+    /// Batch-local node id of each of layer 0's input rows, ascending:
+    /// the rows of the input projection.
+    pub(crate) inputs: Vec<usize>,
+    /// The row of each `batch.targets` entry in the last layer's output
+    /// (in `inputs` for a stack without layers).
+    pub(crate) target_rows: Rc<Vec<usize>>,
+    /// Work areas, indexed by batch-local node id.
+    marked: Vec<bool>,
+    in_row: Vec<usize>,
+    out_row: Vec<usize>,
+}
+
+/// Refills a list the tape may hold a clone of (copy-on-write) or, in a
+/// reused `Fields`, only this one (in place).
+fn refill(list: &mut Rc<Vec<usize>>, items: impl Iterator<Item = usize>) {
+    let list = Rc::make_mut(list);
+    list.clear();
+    list.extend(items);
 }
 
 impl Field {
@@ -46,62 +76,115 @@ impl Field {
         }
     }
 
-    /// The fields of an `n_layers` stack that feeds `batch.targets`, first
-    /// layer first. Layer 0 reads all `n` input rows; layer `l > 0` reads
-    /// layer `l - 1`'s output.
-    pub fn layers(batch: &SubgraphBatch, n_layers: usize) -> Vec<Field> {
-        let n = batch.n_nodes();
-        let mut out = batch.targets.clone();
-        out.sort_unstable();
-        out.dedup();
-        let mut marked = vec![false; n];
-        let (mut in_row, mut out_row) = (vec![0; n], vec![0; n]);
-        let mut fields = Vec::with_capacity(n_layers);
-        for l in (0..n_layers).rev() {
-            marked.fill(false);
-            for &v in &out {
-                marked[v] = true;
-            }
-            let edges: Vec<usize> = (0..batch.n_edges())
-                .filter(|&e| marked[batch.edge_dst[e]])
-                .collect();
-            // This layer's input: everything on layer 0, else its output
-            // rows plus their in-neighbours.
-            if l == 0 {
-                marked.fill(true);
-            }
-            for &e in &edges {
-                marked[batch.edge_src[e]] = true;
-            }
-            let input: Vec<usize> = (0..n).filter(|&v| marked[v]).collect();
-            for (i, &v) in input.iter().enumerate() {
-                in_row[v] = i;
-            }
-            for (i, &v) in out.iter().enumerate() {
-                out_row[v] = i;
-            }
-            fields.push(Field {
-                out_rows: Rc::new(out.iter().map(|&v| in_row[v]).collect()),
-                edge_src: Rc::new(edges.iter().map(|&e| in_row[batch.edge_src[e]]).collect()),
-                edge_dst: Rc::new(edges.iter().map(|&e| out_row[batch.edge_dst[e]]).collect()),
-                edges: Rc::new(edges),
-                nodes: std::mem::replace(&mut out, input),
-            });
-        }
-        fields.reverse();
+    /// The fields of an `n_layers` stack that feeds `batch.targets`, as the
+    /// tape computes them: layer 0 reads all `n` input rows; layer `l > 0`
+    /// reads layer `l - 1`'s output.
+    pub fn layers(batch: &SubgraphBatch, n_layers: usize) -> Fields {
+        let mut fields = Fields::default();
+        fields.rebuild(batch, n_layers, true);
         fields
     }
+}
 
-    /// The output row of each of `nodes`, which must all be in the field.
-    pub fn rows_of(&self, nodes: &[usize]) -> Vec<usize> {
-        nodes
-            .iter()
-            .map(|v| {
-                let row = self.nodes.binary_search(v);
-                debug_assert!(row.is_ok(), "node {v} outside the field");
-                row.unwrap_or_default()
-            })
-            .collect()
+impl Fields {
+    /// `n_layers` copies of [`Field::all`] over all `n` input rows: the
+    /// stack without pruning.
+    pub fn all(batch: &SubgraphBatch, n_layers: usize) -> Fields {
+        Fields {
+            layers: vec![Field::all(batch); n_layers],
+            inputs: (0..batch.n_nodes()).collect(),
+            target_rows: Rc::new(batch.targets.clone()),
+            ..Fields::default()
+        }
+    }
+
+    /// The per-layer fields, first layer first.
+    pub fn layers(&self) -> &[Field] {
+        &self.layers
+    }
+
+    /// The row of each `batch.targets` entry in the stack's output.
+    pub fn target_rows(&self) -> &[usize] {
+        &self.target_rows
+    }
+
+    /// Rebuilds, in place, the fields of an `n_layers` stack that feeds
+    /// `batch.targets`, back to front. Layer 0 reads every input row if
+    /// `every_input` (the tape, which runs the type embedding and
+    /// `input_proj` over all rows); otherwise only its output rows and its
+    /// edges' sources.
+    pub(crate) fn rebuild(&mut self, batch: &SubgraphBatch, n_layers: usize, every_input: bool) {
+        let n = batch.n_nodes();
+        at_least(&mut self.in_row, n);
+        at_least(&mut self.out_row, n);
+        let marked = at_least(&mut self.marked, n);
+        self.layers.truncate(n_layers);
+        self.layers.resize_with(n_layers, Field::default);
+
+        // The stack's output: the deduplicated targets, or with no layers
+        // the input rows themselves.
+        let top = match self.layers.last_mut() {
+            Some(last) => &mut last.nodes,
+            None => &mut self.inputs,
+        };
+        top.clear();
+        if n_layers == 0 && every_input {
+            top.extend(0..n);
+        } else {
+            top.extend(&batch.targets);
+            top.sort_unstable();
+            top.dedup();
+        }
+        for (i, &v) in top.iter().enumerate() {
+            self.out_row[v] = i;
+        }
+        refill(
+            &mut self.target_rows,
+            batch.targets.iter().map(|&v| self.out_row[v]),
+        );
+
+        for l in (0..n_layers).rev() {
+            let (below, rest) = self.layers.split_at_mut(l);
+            let field = &mut rest[0];
+            marked.fill(false);
+            for (i, &v) in field.nodes.iter().enumerate() {
+                marked[v] = true;
+                self.out_row[v] = i;
+            }
+            refill(
+                &mut field.edges,
+                (0..batch.n_edges()).filter(|&e| marked[batch.edge_dst[e]]),
+            );
+            // This layer's input: its output rows plus their in-neighbours,
+            // or everything for the tape's layer 0.
+            if l == 0 && every_input {
+                marked.fill(true);
+            }
+            for &e in field.edges.iter() {
+                marked[batch.edge_src[e]] = true;
+            }
+            let input = match below.last_mut() {
+                Some(prev) => &mut prev.nodes,
+                None => &mut self.inputs,
+            };
+            input.clear();
+            input.extend((0..n).filter(|&v| marked[v]));
+            for (i, &v) in input.iter().enumerate() {
+                self.in_row[v] = i;
+            }
+            refill(
+                &mut field.out_rows,
+                field.nodes.iter().map(|&v| self.in_row[v]),
+            );
+            refill(
+                &mut field.edge_src,
+                field.edges.iter().map(|&e| self.in_row[batch.edge_src[e]]),
+            );
+            refill(
+                &mut field.edge_dst,
+                field.edges.iter().map(|&e| self.out_row[batch.edge_dst[e]]),
+            );
+        }
     }
 }
 
@@ -137,14 +220,16 @@ mod tests {
     fn last_layer_outputs_the_deduplicated_targets() {
         let b = batch(6, &[(0, 1), (2, 3)], &[3, 1, 3, 5]);
         let fields = Field::layers(&b, 2);
-        assert_eq!(fields[1].nodes, vec![1, 3, 5]);
-        assert_eq!(*fields[1].edges, vec![0, 1]);
+        assert_eq!(fields.layers()[1].nodes, vec![1, 3, 5]);
+        assert_eq!(*fields.layers()[1].edges, vec![0, 1]);
+        assert_eq!(fields.target_rows(), [1, 0, 1, 2]);
     }
 
     #[test]
     fn each_earlier_layer_adds_the_in_neighbours() {
         let b = chain();
         let fields = Field::layers(&b, 3);
+        let fields = fields.layers();
         // Layer 2 outputs the target; it reads 2 → 3.
         assert_eq!(fields[2].nodes, vec![3]);
         assert_eq!(*fields[2].edges, vec![4]);
@@ -180,9 +265,10 @@ mod tests {
     fn a_target_without_in_edges_gets_a_row_and_no_edges() {
         let b = batch(3, &[(0, 1)], &[2, 1]);
         let fields = Field::layers(&b, 2);
+        assert_eq!(fields.target_rows(), [1, 0]);
+        let fields = fields.layers();
         assert_eq!(fields[1].nodes, vec![1, 2]);
         assert_eq!(*fields[1].edge_dst, vec![0]);
-        assert_eq!(fields[1].rows_of(&[2]), vec![1]);
         assert_eq!(fields[0].nodes, vec![0, 1, 2]);
     }
 
@@ -190,8 +276,8 @@ mod tests {
     fn a_duplicated_target_reads_one_row() {
         let b = batch(4, &[(0, 2), (1, 2)], &[2, 3, 2]);
         let fields = Field::layers(&b, 1);
-        assert_eq!(fields[0].nodes, vec![2, 3]);
-        assert_eq!(fields[0].rows_of(&b.targets), vec![0, 1, 0]);
+        assert_eq!(fields.layers()[0].nodes, vec![2, 3]);
+        assert_eq!(fields.target_rows(), [0, 1, 0]);
     }
 
     #[test]
@@ -207,10 +293,48 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let batch = SageSampler::new(2, 4).sample(&g, &[0, 1], &mut rng);
         let fields = Field::layers(&batch, 2);
+        let fields = fields.layers();
         assert!(fields[1].edges.len() < fields[0].edges.len());
         assert!(fields[0].edges.len() < batch.n_edges());
         assert!(fields[1].nodes.len() < fields[0].nodes.len());
         assert!(fields[0].nodes.len() < batch.n_nodes());
+    }
+
+    /// Without the tape's every-row input, layer 0 reads only its output
+    /// rows and their in-neighbours, renumbered.
+    #[test]
+    fn pruned_inputs_are_the_rows_layer_0_reads() {
+        let b = chain();
+        let mut fields = Field::layers(&b, 2);
+        fields.rebuild(&b, 2, false);
+        // Layer 1 outputs {3} and reads {2, 3}; layer 0 outputs {2, 3} and
+        // reads {1, 5} ∪ {2, 3}. Node 0 and node 4 feed nothing.
+        assert_eq!(fields.inputs, vec![1, 2, 3, 5]);
+        let f0 = &fields.layers()[0];
+        assert_eq!(f0.nodes, vec![2, 3]);
+        assert_eq!(*f0.out_rows, vec![1, 2]);
+        assert_eq!(*f0.edges, vec![2, 3, 4]);
+        assert_eq!(*f0.edge_src, vec![0, 3, 1]);
+        assert_eq!(*f0.edge_dst, vec![0, 0, 1]);
+        assert_eq!(fields.target_rows(), [0]);
+        // Rebuilt in place, the tape's fields come back.
+        fields.rebuild(&b, 2, true);
+        let fresh = Field::layers(&b, 2);
+        assert_eq!(fields.layers(), fresh.layers());
+        assert_eq!(fields.inputs, fresh.inputs);
+        assert_eq!(fields.target_rows(), fresh.target_rows());
+    }
+
+    /// A stack without layers reads the targets' own input rows.
+    #[test]
+    fn no_layers_reads_the_targets() {
+        let b = chain();
+        let fields = Field::layers(&b, 0);
+        assert_eq!(fields.inputs, (0..6).collect::<Vec<_>>());
+        let mut pruned = fields.clone();
+        pruned.rebuild(&batch(6, &[], &[4, 1, 4]), 0, false);
+        assert_eq!(pruned.inputs, vec![1, 4]);
+        assert_eq!(pruned.target_rows(), [1, 0, 1]);
     }
 
     #[test]

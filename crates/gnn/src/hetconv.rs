@@ -58,10 +58,12 @@ pub struct HetConvLayer {
 }
 
 /// Grow-only work areas of [`HetConvLayer::infer`], reused across layers
-/// and calls (see [`crate::infer::Arena`]).
+/// and calls (see [`crate::infer::Work`]).
 #[derive(Default)]
 pub(crate) struct ConvBufs {
+    ids: Vec<usize>,
     src_in: Vec<f32>,
+    h_out: Vec<f32>,
     k: Vec<f32>,
     v: Vec<f32>,
     q: Vec<f32>,
@@ -364,26 +366,26 @@ impl HetConvLayer {
         self.shared_projections().is_some()
     }
 
-    /// Eval-mode forward without a tape: `h` is `[n, d_in]`, the result is
-    /// written to `out` (`[n, d_out]`). Bit-identical to
-    /// [`HetConvLayer::forward`] over [`Field::all`] with `train = false`
-    /// and no edge mask, for
-    /// finite weights and activations. Requires [`HetConvLayer::can_infer`].
+    /// Eval-mode forward without a tape over one receptive field: `h` holds
+    /// the field's input rows, `out` receives its output rows (one per
+    /// `field.nodes`). Bit-identical to [`HetConvLayer::forward`] over the
+    /// same field with `train = false` and no edge mask, for finite weights
+    /// and activations. Requires [`HetConvLayer::can_infer`].
     ///
-    /// Where the tape gathers `h` to one row per edge and projects `E` rows,
-    /// this projects each *source row* once and lets the edges index the
-    /// result: row `r` of `X·W` depends on row `r` of `X` alone and sums `k`
-    /// in the same order wherever the row sits, so `gather(h)·W` and
-    /// `gather(h·W)` agree to the bit. A source row is a node on deeper
-    /// layers and a `(node, edge_type)` pair ([`SourcePairs`]) on the first.
+    /// Where the tape gathers `h` to one row per edge and projects `E'`
+    /// rows, this projects each *source row* once and lets the edges index
+    /// the result: row `r` of `X·W` depends on row `r` of `X` alone and
+    /// sums `k` in the same order wherever the row sits, so `gather(h)·W`
+    /// and `gather(h·W)` agree to the bit. A source row is a node on deeper
+    /// layers and a `(node, edge_type)` pair on the first ([`SourcePairs`]).
     /// The same holds for the per-type attention products, which become one
-    /// multiply per source/target row instead of per edge.
+    /// multiply per source/output row instead of per edge.
     pub(crate) fn infer(
         &self,
         store: &ParamStore,
         h: &[f32],
         batch: &SubgraphBatch,
-        pairs: &SourcePairs<'_>,
+        field: &Field,
         bufs: &mut ConvBufs,
         out: &mut [f32],
     ) {
@@ -391,50 +393,58 @@ impl HetConvLayer {
             debug_assert!(false, "infer() on a per-type layer");
             return;
         };
-        let (n, e, d, heads) = (batch.n_nodes(), batch.n_edges(), self.d_out, self.heads);
+        let (d, heads) = (self.d_out, self.heads);
+        let (n_out, e) = (field.nodes.len(), field.edges.len());
         let d_k = d / heads;
         let d_in = store.value(k_lin.w).rows();
         let type_of = |v: usize| batch.node_types[v].index();
+        let edge_emb = self.edge_emb.as_ref().map(|emb| store.value(emb.table));
 
         // Source rows and the row each edge reads (eq. 4/6: φ(e) joins the
         // source input on the first layer, before the projection).
-        let (src_in, edge_row, n_rows): (&[f32], &[usize], usize) = match &self.edge_emb {
-            Some(edge_emb) => {
-                let table = store.value(edge_emb.table);
-                let src_in = at_least(&mut bufs.src_in, pairs.len() * d_in);
-                for ((row, &s), &ty) in src_in
-                    .chunks_exact_mut(d_in)
-                    .zip(pairs.pair_src)
-                    .zip(pairs.pair_ety)
-                {
-                    let h_row = &h[s * d_in..(s + 1) * d_in];
-                    for ((o, &x), &emb) in row.iter_mut().zip(h_row).zip(table.row(ty)) {
-                        *o = x + emb;
+        let sources = SourcePairs::of(
+            batch,
+            field,
+            h.len() / d_in.max(1),
+            edge_emb.is_some(),
+            &mut bufs.ids,
+        );
+        let src_in = at_least(&mut bufs.src_in, sources.len() * d_in);
+        for (row, &i) in src_in.chunks_exact_mut(d_in).zip(sources.first_edge) {
+            let s = field.edge_src[i];
+            let h_row = &h[s * d_in..(s + 1) * d_in];
+            match edge_emb {
+                Some(table) => {
+                    let emb = table.row(batch.edge_ty[field.edges[i]].index());
+                    for ((o, &x), &y) in row.iter_mut().zip(h_row).zip(emb) {
+                        *o = x + y;
                     }
                 }
-                (src_in, pairs.edge_row, pairs.len())
+                None => row.copy_from_slice(h_row),
             }
-            None => (h, &batch.edge_src, n),
-        };
-        let row_type = |r: usize| match &self.edge_emb {
-            Some(_) => type_of(pairs.pair_src[r]),
-            None => type_of(r),
-        };
+        }
+        // The output rows' inputs: Q and the residual read them.
+        let h_out = at_least(&mut bufs.h_out, n_out * d_in);
+        for (row, &r) in h_out.chunks_exact_mut(d_in).zip(field.out_rows.iter()) {
+            row.copy_from_slice(&h[r * d_in..(r + 1) * d_in]);
+        }
 
-        // K·w_att[τ(src)] and V per source row, Q·w_att[τ(tgt)] per node.
-        let k = at_least(&mut bufs.k, n_rows * d);
-        let v = at_least(&mut bufs.v, n_rows * d);
-        let q = at_least(&mut bufs.q, n * d);
+        // K·w_att[τ(src)] and V per source row, Q·w_att[τ(tgt)] per output
+        // row.
+        let k = at_least(&mut bufs.k, sources.len() * d);
+        let v = at_least(&mut bufs.v, sources.len() * d);
+        let q = at_least(&mut bufs.q, n_out * d);
         k_lin.apply_into(store, src_in, k);
         v_lin.apply_into(store, src_in, v);
-        q_lin.apply_into(store, h, q);
+        q_lin.apply_into(store, h_out, q);
         let (att_src, att_tgt) = (store.value(self.w_att_src), store.value(self.w_att_tgt));
-        for (r, row) in k.chunks_exact_mut(d).enumerate() {
-            for (x, &w) in row.iter_mut().zip(att_src.row(row_type(r))) {
+        for (row, &i) in k.chunks_exact_mut(d).zip(sources.first_edge) {
+            let src_type = type_of(batch.edge_src[field.edges[i]]);
+            for (x, &w) in row.iter_mut().zip(att_src.row(src_type)) {
                 *x *= w;
             }
         }
-        for (t, row) in q.chunks_exact_mut(d).enumerate() {
+        for (row, &t) in q.chunks_exact_mut(d).zip(&field.nodes) {
             for (x, &w) in row.iter_mut().zip(att_tgt.row(type_of(t))) {
                 *x *= w;
             }
@@ -447,8 +457,8 @@ impl HetConvLayer {
         let scores = at_least(&mut bufs.scores, e * heads);
         for ((score, &r), &t) in scores
             .chunks_exact_mut(heads)
-            .zip(edge_row)
-            .zip(&batch.edge_dst)
+            .zip(sources.edge_row)
+            .zip(field.edge_dst.iter())
         {
             let (k_row, q_row) = (&k[r * d..(r + 1) * d], &q[t * d..(t + 1) * d]);
             for ((s, k_blk), q_blk) in score
@@ -468,18 +478,22 @@ impl HetConvLayer {
         let alpha = at_least(&mut bufs.alpha, e * heads);
         kernels::segment_softmax_into(
             scores,
-            &batch.edge_dst,
+            &field.edge_dst,
             heads,
-            at_least(&mut bufs.seg_max, n * heads),
-            at_least(&mut bufs.seg_sum, n * heads),
+            at_least(&mut bufs.seg_max, n_out * heads),
+            at_least(&mut bufs.seg_sum, n_out * heads),
             alpha,
         );
 
         // eq. 1: each head's α scales its block of V (what the `[h, d]`
         // indicator matmul broadcasts), summed into the target in edge order.
-        let agg = at_least(&mut bufs.agg, n * d);
+        let agg = at_least(&mut bufs.agg, n_out * d);
         agg.fill(0.0);
-        for ((alpha, &r), &t) in alpha.chunks_exact(heads).zip(edge_row).zip(&batch.edge_dst) {
+        for ((alpha, &r), &t) in alpha
+            .chunks_exact(heads)
+            .zip(sources.edge_row)
+            .zip(field.edge_dst.iter())
+        {
             let (v_row, agg_row) = (&v[r * d..(r + 1) * d], &mut agg[t * d..(t + 1) * d]);
             for ((&a, v_blk), agg_blk) in alpha
                 .iter()
@@ -495,7 +509,7 @@ impl HetConvLayer {
         // Output projection + residual + ReLU.
         self.a_lin.apply_into(store, agg, out);
         if self.residual {
-            for (o, &x) in out.iter_mut().zip(h) {
+            for (o, &x) in out.iter_mut().zip(h_out.iter()) {
                 *o = kernels::relu(*o + x);
             }
         } else {
@@ -590,10 +604,13 @@ mod tests {
     }
 
     /// `infer` ≡ eval-mode `forward`, bit for bit — with and without the
-    /// edge-type embedding, with and without the residual.
+    /// edge-type embedding, with and without the residual, over all rows
+    /// and over the targets' field.
     #[test]
     fn infer_matches_forward_bits() {
         let batch = toy_batch();
+        let pruned = Field::layers(&batch, 1).layers()[0].clone();
+        assert!(pruned.nodes.len() < batch.n_nodes());
         for (d_out, first_layer) in [(8, true), (4, true), (8, false), (4, false)] {
             let mut rng = StdRng::seed_from_u64(5);
             let mut store = ParamStore::new();
@@ -603,33 +620,31 @@ mod tests {
                 *store.value_mut(edge_emb.table) =
                     Tensor::rand_uniform(ALL_EDGE_TYPES.len(), 4, -1.0, 1.0, &mut rng);
             }
-            let mut sess = Session::new();
-            let h = sess.constant(batch.features.clone());
-            let want = layer.forward(
-                &mut sess,
-                &store,
-                h,
-                &batch,
-                &Field::all(&batch),
-                None,
-                false,
-                &mut rng,
-            );
-
-            let mut ids = Vec::new();
-            let pairs = SourcePairs::of(&batch, &mut ids);
-            let mut out = vec![f32::NAN; batch.n_nodes() * d_out];
-            let h = batch.features.data();
-            // Used twice: the second call reads buffers the first left dirty.
+            // Used throughout: later calls read buffers earlier ones left dirty.
             let mut bufs = ConvBufs::default();
-            for _ in 0..2 {
-                layer.infer(&store, h, &batch, &pairs, &mut bufs, &mut out);
-                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(&out),
-                    bits(sess.tape.value(want).data()),
-                    "d_out {d_out}, first_layer {first_layer}"
-                );
+            for field in [Field::all(&batch), pruned.clone()] {
+                let mut sess = Session::new();
+                let h = sess.constant(batch.features.clone());
+                let want =
+                    layer.forward(&mut sess, &store, h, &batch, &field, None, false, &mut rng);
+                let mut out = vec![f32::NAN; field.nodes.len() * d_out];
+                for _ in 0..2 {
+                    layer.infer(
+                        &store,
+                        batch.features.data(),
+                        &batch,
+                        &field,
+                        &mut bufs,
+                        &mut out,
+                    );
+                    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&out),
+                        bits(sess.tape.value(want).data()),
+                        "d_out {d_out}, first_layer {first_layer}, {} rows",
+                        field.nodes.len()
+                    );
+                }
             }
         }
     }

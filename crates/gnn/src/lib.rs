@@ -49,7 +49,7 @@ mod train;
 pub use batch::SubgraphBatch;
 pub use detector::{DetectorConfig, XFraudDetector};
 pub use engine::{batch_rng, default_num_workers, mix_seed, streams, BatchEngine};
-pub use field::Field;
+pub use field::{Field, Fields};
 pub use gat::GatModel;
 pub use gem::GemModel;
 pub use hetconv::HetConvLayer;

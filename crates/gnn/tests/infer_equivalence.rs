@@ -190,8 +190,26 @@ fn scores_follow_the_store_through_training() {
     assert_eq!(after, tape_scores(&det, &batch));
 }
 
+/// `a` followed by a disjoint copy-shaped `b` whose nodes are no target's
+/// neighbours: `a`'s targets' receptive fields are a strict subset of the
+/// rows.
+fn with_unread_rows(a: SubgraphBatch, b: &SubgraphBatch) -> SubgraphBatch {
+    let n = a.n_nodes();
+    let mut out = a;
+    out.node_types.extend(&b.node_types);
+    let features = [out.features.data(), b.features.data()].concat();
+    out.features = Tensor::from_vec(n + b.n_nodes(), FEATURE_DIM, features).unwrap();
+    out.edge_src.extend(b.edge_src.iter().map(|s| s + n));
+    out.edge_dst.extend(b.edge_dst.iter().map(|t| t + n));
+    out.edge_ty.extend(&b.edge_ty);
+    out.global_ids = (0..out.node_types.len()).collect();
+    assert!(out.validate());
+    out
+}
+
 /// Once the thread's arena has grown to a batch's size, scoring it again
-/// allocates only the returned `Vec` — however many edges or layers.
+/// allocates only the returned `Vec` — however many edges or layers, and
+/// whether or not the targets' fields cover every row.
 #[test]
 fn a_warmed_up_call_allocates_only_its_result() {
     let mut rng = StdRng::seed_from_u64(5);
@@ -199,15 +217,23 @@ fn a_warmed_up_call_allocates_only_its_result() {
         let det = trained(cfg(32, 4, layers, 5), &mut rng);
         for n_edges in [0, 50, 2000] {
             let batch = random_batch(&mut rng, 8, 30, n_edges);
-            let warm = predict_scores(&det, &batch, &mut rng);
-            let before = ALLOCATIONS.with(Cell::get);
-            let scores = predict_scores(&det, &batch, &mut rng);
-            let allocated = ALLOCATIONS.with(Cell::get) - before;
-            assert_eq!(scores, warm);
-            assert!(
-                allocated <= 1,
-                "{allocated} allocations with {layers} layers, {n_edges} edges"
-            );
+            let unread = random_batch(&mut rng, 8, 30, n_edges);
+            let pruned = with_unread_rows(batch.clone(), &unread);
+            let mut results = Vec::new();
+            for batch in [batch, pruned] {
+                let warm = predict_scores(&det, &batch, &mut rng);
+                let before = ALLOCATIONS.with(Cell::get);
+                let scores = predict_scores(&det, &batch, &mut rng);
+                let allocated = ALLOCATIONS.with(Cell::get) - before;
+                assert_eq!(scores, warm);
+                assert!(
+                    allocated <= 1,
+                    "{allocated} allocations with {layers} layers, {n_edges} edges, {} rows",
+                    batch.n_nodes()
+                );
+                results.push(scores);
+            }
+            assert_eq!(results[0], results[1], "unread rows changed a score");
         }
     }
 }

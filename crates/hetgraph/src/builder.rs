@@ -54,6 +54,15 @@ impl GraphBuilder {
         b
     }
 
+    /// Pre-allocates room for `txns` more transactions and their feature
+    /// rows. The feature matrix is the graph's largest array and becomes
+    /// the graph's own without a copy, so growing it by doubling would both
+    /// copy it and keep up to twice its size for the graph's lifetime.
+    pub fn reserve_txns(&mut self, txns: usize) {
+        self.txn_nodes.reserve(txns);
+        self.feature_rows.reserve(txns * self.feature_dim);
+    }
+
     pub fn n_nodes(&self) -> usize {
         self.node_types.len()
     }
@@ -129,7 +138,6 @@ impl GraphBuilder {
                     feature_rows: usize::MAX,
                 }
             })?;
-        let incoming = Csr::build(n, &self.edge_dst, &self.edge_src);
         let outgoing = Csr::build(n, &self.edge_src, &self.edge_dst);
         let mut feature_row = FeatureIndex::with_capacity(n);
         for row in &self.txn_row {
@@ -140,7 +148,6 @@ impl GraphBuilder {
             edge_src: self.edge_src,
             edge_dst: self.edge_dst,
             edge_types: self.edge_types,
-            incoming,
             outgoing,
             features,
             feature_row,

@@ -235,6 +235,9 @@ impl DeltaGraph {
     pub fn compact(&self) -> Result<HetGraph> {
         let n = self.n_nodes();
         let mut b = GraphBuilder::with_capacity(self.feature_dim(), n, self.n_directed_edges() / 2);
+        b.reserve_txns(
+            self.base.txn_nodes().len() + self.new_features.len() / self.feature_dim().max(1),
+        );
         let mut row = vec![0.0f32; self.feature_dim()];
         for v in 0..n {
             match GraphView::node_type(self, v) {

@@ -22,10 +22,10 @@ pub struct EdgeRef {
 ///   either endpoint. The builder appends links as consecutive
 ///   `(forward, reverse)` pairs, so forward edges always carry even ids —
 ///   an invariant `induced_subgraph` and `DeltaGraph::compact` exploit.
-/// * `incoming` — [`Csr`] over incoming edges per node (the detector
-///   aggregates messages into targets, eq. 1).
 /// * `outgoing` — [`Csr`] over outgoing edges; its target arena is the
-///   allocation-free neighbour slice samplers and kernels iterate.
+///   allocation-free neighbour slice samplers and kernels iterate. Every
+///   link is stored both ways, so a node's in-edges are its out-edges'
+///   reverses (`e ^ 1`) and need no index of their own.
 ///
 /// Only `txn` nodes have feature rows; the [`FeatureIndex`] maps a node to
 /// its row in the `[n_txn, d]` feature matrix. Labels are `Option<bool>`:
@@ -37,7 +37,6 @@ pub struct HetGraph {
     pub(crate) edge_src: Vec<NodeId>,
     pub(crate) edge_dst: Vec<NodeId>,
     pub(crate) edge_types: Vec<EdgeType>,
-    pub(crate) incoming: Csr,
     pub(crate) outgoing: Csr,
     pub(crate) features: Tensor,
     pub(crate) feature_row: FeatureIndex,
@@ -55,7 +54,6 @@ impl HetGraph {
             edge_src: Vec::new(),
             edge_dst: Vec::new(),
             edge_types: Vec::new(),
-            incoming: Csr::build(0, &[], &[]),
             outgoing: Csr::build(0, &[], &[]),
             features: Tensor::zeros(0, feature_dim),
             feature_row: FeatureIndex::with_capacity(0),
@@ -109,12 +107,6 @@ impl HetGraph {
 
     pub fn edge_types(&self) -> &[EdgeType] {
         &self.edge_types
-    }
-
-    /// Incoming CSR (edge ids + source arena) — the message-passing index.
-    #[inline]
-    pub fn incoming(&self) -> &Csr {
-        &self.incoming
     }
 
     /// Outgoing CSR (edge ids + target arena) — the sampler/kernel index.
@@ -254,7 +246,6 @@ impl HetGraph {
                 .copy_from_slice(self.features.row(src));
         }
 
-        let incoming = Csr::build(keep.len(), &edge_dst, &edge_src);
         let outgoing = Csr::build(keep.len(), &edge_src, &edge_dst);
 
         let sub = HetGraph {
@@ -262,7 +253,6 @@ impl HetGraph {
             edge_src,
             edge_dst,
             edge_types,
-            incoming,
             outgoing,
             features,
             feature_row,
@@ -277,18 +267,10 @@ impl HetGraph {
     /// `debug_assert`ed by the builder.
     pub fn validate(&self) -> bool {
         let n = self.n_nodes();
-        if !self.incoming.is_consistent(n, &self.edge_src) {
-            return false;
-        }
         if !self.outgoing.is_consistent(n, &self.edge_dst) {
             return false;
         }
         for v in 0..n {
-            for &e in self.incoming.edge_ids(v) {
-                if self.edge_dst[e] != v {
-                    return false;
-                }
-            }
             for (&e, &t) in self
                 .outgoing
                 .edge_ids(v)
@@ -346,11 +328,10 @@ mod tests {
     fn csr_in_and_out_edges_agree_with_edge_list() {
         let g = toy();
         for v in 0..g.n_nodes() {
-            for &e in g.incoming().edge_ids(v) {
-                assert_eq!(g.edge(e).dst, v);
-            }
             for &e in g.outgoing().edge_ids(v) {
                 assert_eq!(g.edge(e).src, v);
+                // The reverse of each out-edge is an in-edge.
+                assert_eq!(g.edge(e ^ 1).dst, v);
             }
             // The arena slice is the edge-id walk's endpoints, in order.
             let via_edges: Vec<_> = g
@@ -361,10 +342,10 @@ mod tests {
                 .collect();
             assert_eq!(g.neighbor_slice(v), &via_edges[..]);
         }
-        // Shared payment token has two incoming txn edges.
+        // Shared payment token has two txn links.
         let pmt = 2;
         assert_eq!(g.node_type(pmt), NodeType::Pmt);
-        assert_eq!(g.incoming().degree(pmt), 2);
+        assert_eq!(g.outgoing().degree(pmt), 2);
     }
 
     #[test]
