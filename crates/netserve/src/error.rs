@@ -15,7 +15,8 @@ pub enum NetServeError {
     InvalidConfig(String),
     /// Binding the listen socket failed.
     Bind(io::Error),
-    /// The OS refused to spawn a server thread.
+    /// The OS refused to spawn a server thread or to create its wake
+    /// socket.
     Spawn(io::Error),
 }
 
@@ -24,7 +25,7 @@ impl fmt::Display for NetServeError {
         match self {
             NetServeError::InvalidConfig(msg) => write!(f, "invalid server config: {msg}"),
             NetServeError::Bind(e) => write!(f, "failed to bind listen socket: {e}"),
-            NetServeError::Spawn(e) => write!(f, "failed to spawn server thread: {e}"),
+            NetServeError::Spawn(e) => write!(f, "failed to start server thread: {e}"),
         }
     }
 }

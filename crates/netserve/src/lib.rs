@@ -19,6 +19,8 @@
 //! - [`server`] — [`NetServer`]: acceptor + nonblocking workers + blocking
 //!   scorer crew, in-flight permits (the `503` arm), deadline reaping,
 //!   graceful drain, and detector hot-swap via the shared engine handle;
+//!   its threads block in `poll(2)` plus a wake socket (the private
+//!   `ready` module) rather than sleeping between sweeps;
 //! - [`client`] — [`ScoreClient`], a blocking keep-alive client;
 //! - [`metrics`] — the counters `GET /metrics` serves.
 //!
@@ -27,6 +29,9 @@
 //! bytes cost one typed 4xx response, never a worker or a panic; and no
 //! client behaviour — slow-loris drips, half-closed sockets, mid-request
 //! disconnects — can leak an in-flight permit.
+//!
+//! The crate is unix-only: the event loops wait with `poll(2)` on socket
+//! descriptors, and there is no portable fallback.
 
 #![cfg_attr(
     not(test),
@@ -42,6 +47,9 @@
     )
 )]
 
+#[cfg(not(unix))]
+compile_error!("xfraud-netserve waits on sockets with poll(2) and builds only on unix targets");
+
 pub mod client;
 pub mod error;
 pub mod http;
@@ -49,6 +57,7 @@ pub mod json;
 pub mod metrics;
 pub mod proto;
 pub mod quota;
+mod ready;
 pub mod server;
 
 pub use client::{ScoreClient, ScoreOutcome};

@@ -3,9 +3,9 @@
 //! workspace builds offline, so there is no async runtime; concurrency
 //! comes from a small fixed thread crew instead:
 //!
-//! - an **acceptor** polls the listener, applies the connection cap (a
-//!   refused connection gets a best-effort `503` and is closed), and deals
-//!   accepted sockets round-robin to the workers;
+//! - an **acceptor** takes connections off the listener, applies the
+//!   connection cap (a refused connection gets a best-effort `503` and is
+//!   closed), and deals accepted sockets round-robin to the workers;
 //! - **workers** (thread-per-core style) each own a set of nonblocking
 //!   connections and drive them through a per-connection state machine
 //!   (read head → read body → dispatch → wait → write), reaping anything
@@ -15,6 +15,17 @@
 //!   admitted jobs off a queue, make the *blocking* `ScoringEngine::score`
 //!   call, and post results back to the owning worker, so engine latency
 //!   never stalls connection I/O.
+//!
+//! No thread sleeps between sweeps. A worker sweeps its channels and
+//! connections until a sweep makes no progress, then blocks in `poll(2)`
+//! (the [`ready`](crate::ready) module) on the sockets that can move —
+//! readable for a connection that would read, writable for one with a
+//! response queued — plus its wake socket, with the earliest connection
+//! deadline as the timeout. Whoever sends on a worker's `new_conns` or
+//! `results` channel writes its wake socket after the send, so a handed-off
+//! connection or score is picked up at once. The acceptor blocks the same
+//! way on the listener plus its own wake socket, and shutdown wakes every
+//! thread after raising the stop flag. An idle server uses no CPU.
 //!
 //! Admission control is two-stage and strictly bounded: a per-tenant
 //! token-bucket quota ([`QuotaSet`], `429`) and a global in-flight permit
@@ -32,6 +43,7 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -48,9 +60,11 @@ use crate::json::Json;
 use crate::metrics::{NetMetrics, NetMetricsSnapshot};
 use crate::proto::{decode_score_request, encode_error_body, encode_score_response};
 use crate::quota::{QuotaConfig, QuotaSet};
+use crate::ready::{self, PollFd, WakeSocket};
 
-/// Pause between event-loop sweeps when no connection made progress.
-const IDLE_POLL: Duration = Duration::from_micros(250);
+/// Pause after a failed `accept` or `poll` (EMFILE, ENOMEM, …): the failure
+/// may leave the listener readable, so waiting on readiness would spin.
+const ERROR_BACKOFF: Duration = Duration::from_millis(1);
 
 /// Most bytes pulled off one connection per sweep (fairness bound).
 const READ_QUANTUM: usize = 16 * 1024;
@@ -149,6 +163,11 @@ struct ServerShared {
     metrics: NetMetrics,
     quotas: QuotaSet,
     stop: AtomicBool,
+    /// One per worker, written after every send on its `new_conns` or
+    /// `results` channel and at shutdown.
+    worker_wakes: Vec<WakeSocket>,
+    /// The acceptor's, written at shutdown.
+    accept_wake: WakeSocket,
 }
 
 enum ConnState {
@@ -189,6 +208,37 @@ impl Conn {
             dead: false,
         }
     }
+
+    /// The connection's entry in its worker's wait: readable while
+    /// [`read_some`] would read, writable while a response is queued, and
+    /// otherwise none at all — a hung-up socket reports `POLLHUP` whatever
+    /// it asks for, so merely asking for nothing would spin the worker
+    /// while a half-closed peer waits on its score.
+    fn poll_fd(&self, read_cap: usize) -> PollFd {
+        match self.state {
+            _ if self.dead => PollFd::ignored(),
+            ConnState::Writing { .. } => PollFd::new(self.stream.as_raw_fd(), ready::WRITABLE),
+            _ if self.peer_gone || self.buf.len() >= read_cap => PollFd::ignored(),
+            _ => PollFd::new(self.stream.as_raw_fd(), ready::READABLE),
+        }
+    }
+
+    /// The deadline its worker's wait must not outlast. A `Waiting`
+    /// connection has none: the engine always answers, and the answer
+    /// comes with a wake.
+    fn wait_deadline(&self) -> Option<Instant> {
+        match self.state {
+            _ if self.dead => None,
+            ConnState::Waiting => None,
+            _ => Some(self.deadline),
+        }
+    }
+}
+
+/// Bytes a connection buffers before it stops reading: a full request's
+/// worth. Pipelined senders wait in the socket buffer (backpressure).
+fn read_cap(cfg: &ServerConfig) -> usize {
+    MAX_HEAD_BYTES + cfg.max_body_bytes + READ_QUANTUM
 }
 
 /// The running server. Dropping it performs a graceful shutdown.
@@ -214,11 +264,17 @@ impl NetServer {
             .map_err(NetServeError::Bind)?;
         let addr = listener.local_addr().map_err(NetServeError::Bind)?;
 
+        let worker_wakes = (0..cfg.workers)
+            .map(|_| WakeSocket::new())
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(NetServeError::Spawn)?;
         let shared = Arc::new(ServerShared {
             engine,
             quotas: QuotaSet::new(cfg.quota.clone()),
             metrics: NetMetrics::new(),
             stop: AtomicBool::new(false),
+            worker_wakes,
+            accept_wake: WakeSocket::new().map_err(NetServeError::Spawn)?,
             cfg,
         });
 
@@ -306,6 +362,10 @@ impl NetServer {
 
     fn shutdown_impl(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
+        self.shared.accept_wake.wake();
+        for wake in &self.shared.worker_wakes {
+            wake.wake();
+        }
         // A `join` returning `Err` means the thread died by panic instead of
         // seeing the stop flag — surface that through the `thread_panics`
         // counter rather than swallowing it.
@@ -366,18 +426,27 @@ fn acceptor_loop(
                 m.active_conns.fetch_add(1, Ordering::AcqRel);
                 let w = next_worker % conn_txs.len();
                 next_worker = next_worker.wrapping_add(1);
-                if conn_txs[w].send(stream).is_err() {
+                if conn_txs[w].send(stream).is_ok() {
+                    shared.worker_wakes[w].wake();
+                } else {
                     // Worker exited (shutdown race); the stream just drops.
                     m.active_conns.fetch_sub(1, Ordering::AcqRel);
                 }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+                let mut fds = [
+                    PollFd::new(listener.as_raw_fd(), ready::READABLE),
+                    shared.accept_wake.poll_fd(),
+                ];
+                if ready::wait(&mut fds, None).is_err() {
+                    std::thread::sleep(ERROR_BACKOFF);
+                }
+                shared.accept_wake.drain();
             }
             Err(_) => {
                 // Transient accept failure (EMFILE, ECONNABORTED, …): brief
                 // backoff; the listener itself stays up.
-                std::thread::sleep(Duration::from_millis(1));
+                std::thread::sleep(ERROR_BACKOFF);
             }
         }
     }
@@ -437,6 +506,7 @@ fn scorer_loop(
                 keep_alive: job.keep_alive,
                 result,
             });
+            shared.worker_wakes[job.worker].wake();
         }
     }
 }
@@ -451,6 +521,9 @@ fn worker_loop(
     let mut conns: Vec<Conn> = Vec::new();
     let mut next_id: u64 = 0;
     let mut stop_seen: Option<Instant> = None;
+    let mut fds: Vec<PollFd> = Vec::new();
+    let wake = &shared.worker_wakes[worker_idx];
+    let read_cap = read_cap(&shared.cfg);
     loop {
         let mut progressed = false;
         let now = Instant::now();
@@ -505,6 +578,7 @@ fn worker_loop(
                 if matches!(conn.state, ConnState::ReadHead) && conn.buf.is_empty() {
                     shared.metrics.conns_closed.fetch_add(1, Ordering::Relaxed);
                     conn.dead = true;
+                    progressed = true;
                 }
             }
             let expired = now.saturating_duration_since(since) > shared.cfg.shutdown_grace;
@@ -528,7 +602,23 @@ fn worker_loop(
         }
 
         if !progressed {
-            std::thread::sleep(IDLE_POLL);
+            // Block until a socket can move, a wake announces a channel
+            // message or the stop flag, or the earliest deadline (or the
+            // end of the shutdown grace) comes due.
+            let grace_end = stop_seen.map(|since| since + shared.cfg.shutdown_grace);
+            let due = conns
+                .iter()
+                .filter_map(Conn::wait_deadline)
+                .chain(grace_end)
+                .min();
+            let timeout = due.map(|t| t.saturating_duration_since(Instant::now()));
+            fds.clear();
+            fds.push(wake.poll_fd());
+            fds.extend(conns.iter().map(|c| c.poll_fd(read_cap)));
+            if ready::wait(&mut fds, timeout).is_err() {
+                std::thread::sleep(ERROR_BACKOFF);
+            }
+            wake.drain();
         }
     }
 }
@@ -680,9 +770,7 @@ fn read_some(conn: &mut Conn, shared: &ServerShared, now: Instant) -> bool {
     if conn.peer_gone {
         return false;
     }
-    // Backpressure: stop reading once a full request's worth of bytes is
-    // already buffered (pipelined senders wait in the socket buffer).
-    let cap = MAX_HEAD_BYTES + shared.cfg.max_body_bytes + READ_QUANTUM;
+    let cap = read_cap(&shared.cfg);
     if conn.buf.len() >= cap {
         return false;
     }

@@ -7,10 +7,14 @@
 //! permit after `ScoringEngine::score` returns whether or not the
 //! connection survived, so `in_flight` must always drain back to zero and
 //! capacity must be fully recoverable after arbitrary disconnect abuse.
+//!
+//! The last two tests pin the workers' wake protocol: a worker blocked in
+//! `poll(2)` is woken by every score handed back to it and by shutdown,
+//! so neither a request nor `shutdown` waits on a connection deadline.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use xfraud::datagen::{Dataset, DatasetPreset};
@@ -260,4 +264,62 @@ fn disconnects_never_leak_inflight_permits() {
     assert_eq!(m.in_flight, 0, "permits must fully drain: {m:?}");
     assert_eq!(m.responses_5xx, 0);
     server.shutdown();
+}
+
+/// Every hand-off to a worker wakes it. With read and idle deadlines a
+/// minute out, a worker that missed the wake for a score (or for the new
+/// connection) would sit blocked until a deadline and fail the client's
+/// 2 s timeout; 200 back-to-back requests give every interleaving of the
+/// scorer's send against the worker's sweep-then-wait many chances.
+#[test]
+fn back_to_back_requests_never_wait_on_a_lost_wake() {
+    let (eng, txns) = engine();
+    let cfg = ServerConfig {
+        read_timeout: Duration::from_secs(60),
+        idle_timeout: Duration::from_secs(60),
+        ..fault_cfg()
+    };
+    let server = NetServer::start(eng, cfg).expect("server starts");
+    let mut client =
+        ScoreClient::connect(server.local_addr(), Duration::from_secs(2)).expect("connects");
+    for i in 0..200 {
+        let ids = &txns[i % txns.len()..];
+        match client.score("wake", ids) {
+            Ok(ScoreOutcome::Scores(s)) => assert_eq!(s.len(), ids.len()),
+            other => panic!("request {i} stalled or failed: {other:?}"),
+        }
+    }
+    server.shutdown();
+}
+
+/// Shutdown wakes the crew: with an idle keep-alive connection open (its
+/// idle deadline 30 s away) and the acceptor waiting on an empty listener,
+/// `shutdown` still returns promptly.
+#[test]
+fn shutdown_with_an_idle_keep_alive_returns_promptly() {
+    let (eng, txns) = engine();
+    let cfg = ServerConfig {
+        idle_timeout: Duration::from_secs(30),
+        ..fault_cfg()
+    };
+    let server = NetServer::start(eng, cfg).expect("server starts");
+    let mut client =
+        ScoreClient::connect(server.local_addr(), Duration::from_secs(5)).expect("connects");
+    assert!(matches!(
+        client.score("idle", &txns[..2]).expect("score succeeds"),
+        ScoreOutcome::Scores(_)
+    ));
+    // Let every thread block, then shut down on another thread, so that a
+    // missed wake fails the test instead of hanging it (a worker with no
+    // connections has no deadline at all).
+    std::thread::sleep(Duration::from_millis(50));
+    let (done_tx, done_rx) = mpsc::channel();
+    let h = std::thread::spawn(move || {
+        server.shutdown();
+        done_tx.send(()).expect("test thread waits");
+    });
+    done_rx
+        .recv_timeout(Duration::from_millis(500))
+        .expect("shutdown returns within 500 ms with an idle connection open");
+    h.join().expect("shutdown thread");
 }
