@@ -438,6 +438,37 @@ mod tests {
         );
     }
 
+    /// The on-disk format pinned to the byte: an FNV-1a 64 of one fixed
+    /// image (record CRCs, index CRC, footer CRC included), taken with the
+    /// bytewise CRC-32 the format was written with. Any change to how a
+    /// CRC is computed that changes a value fails here.
+    #[test]
+    fn segment_image_is_pinned() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut records: Vec<(Vec<u8>, Vec<u8>)> = (0..400u64)
+            .map(|i| {
+                let len = (i * 37 % 301) as usize;
+                let v = (0..len)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x as u8
+                    })
+                    .collect();
+                let width = 4 + i as usize % 5;
+                (format!("{i:0width$}").into_bytes(), v)
+            })
+            .collect();
+        records.sort();
+        let image = build(&records, 4096);
+        let fnv = image.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((records.len(), image.len()), (400, 67_610));
+        assert_eq!(fnv, 0xf4ec_eb54_6dad_eaf0);
+    }
+
     #[test]
     fn torn_or_corrupt_footer_is_rejected() {
         let records = sample_records(50);

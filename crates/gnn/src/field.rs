@@ -36,7 +36,7 @@ pub struct Field {
 
 /// The fields of a layer stack that feeds `batch.targets`, built once per
 /// forward. The index lists are `Rc` so the tape shares them without a
-/// copy; [`Fields::rebuild`] refills them in place, so a `Fields` kept
+/// copy; `Fields::rebuild` refills them in place, so a `Fields` kept
 /// across calls stops allocating once it has grown to the batch.
 #[derive(Debug, Clone, Default)]
 pub struct Fields {

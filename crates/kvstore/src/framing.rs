@@ -18,11 +18,15 @@
 
 use std::ops::Range;
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. Hand-rolled:
-/// the offline workspace has no checksum crate, and 8 lines of const table
-/// generation beat vendoring one.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3 polynomial, reflected), slice-by-8. Hand-rolled: the
+/// offline workspace has no checksum crate. `CRC32_TABLES[0]` is the classic
+/// bytewise table; `CRC32_TABLES[t][b]` is the CRC of byte `b` followed by
+/// `t` zero bytes, so eight lookups fold eight input bytes at once into the
+/// same value the bytewise loop reaches. Every checked record, segment index
+/// and footer is hashed with this, and a segment read checks each record it
+/// walks, so its cost per byte is the disk store's cost per row.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -35,10 +39,20 @@ const CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// Incremental CRC-32 (IEEE) hasher over multiple byte slices.
@@ -58,10 +72,27 @@ impl Crc32 {
         Crc32 { state: 0xffff_ffff }
     }
 
+    /// Feeds `bytes`; any split of the input into successive calls gives
+    /// the one-shot value.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state = CRC32_TABLE[((self.state ^ b as u32) & 0xff) as usize] ^ (self.state >> 8);
+        let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC32_TABLES;
+        let (chunks, tail) = bytes.as_chunks::<8>();
+        let mut c = self.state;
+        for &[b0, b1, b2, b3, b4, b5, b6, b7] in chunks {
+            let lo = c ^ u32::from_le_bytes([b0, b1, b2, b3]);
+            c = t7[(lo & 0xff) as usize]
+                ^ t6[((lo >> 8) & 0xff) as usize]
+                ^ t5[((lo >> 16) & 0xff) as usize]
+                ^ t4[(lo >> 24) as usize]
+                ^ t3[b4 as usize]
+                ^ t2[b5 as usize]
+                ^ t1[b6 as usize]
+                ^ t0[b7 as usize];
         }
+        for &b in tail {
+            c = t0[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        }
+        self.state = c;
     }
 
     pub fn finish(&self) -> u32 {
@@ -417,6 +448,97 @@ mod tests {
         inc.update(b"1234");
         inc.update(b"56789");
         assert_eq!(inc.finish(), 0xcbf4_3926);
+        // Lengths around the 8-byte chunk edge: tail only, one chunk, one
+        // chunk plus tail, two chunks. Reference values from zlib's crc32.
+        let fox = b"The quick brown fox jumps over the lazy dog";
+        for (len, want) in [
+            (1, 0xbe04_7a60),
+            (7, 0x6ca4_9ec6),
+            (8, 0x74d2_1c74),
+            (9, 0x5f7e_3064),
+            (15, 0xc311_8c34),
+            (16, 0xc81b_2a7c),
+            (17, 0x2fa8_0ddd),
+            (43, 0x414f_a339),
+        ] {
+            assert_eq!(crc32(&fox[..len]), want, "len {len}");
+        }
+        assert_eq!(crc32(&[0u8; 32]), 0x190a_55ad);
+        assert_eq!(crc32(&[0xffu8; 32]), 0xff6c_ab0b);
+        let all: Vec<u8> = (0..=255).collect();
+        assert_eq!(crc32(&all), 0x2905_8c73);
+    }
+
+    /// The bytewise CRC-32 the slice-by-8 tables must reproduce: one
+    /// table lookup per byte, the table built bit by bit.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xffff_ffffu32;
+        for &b in bytes {
+            let mut x = (c ^ b as u32) & 0xff;
+            for _ in 0..8 {
+                x = if x & 1 != 0 {
+                    0xedb8_8320 ^ (x >> 1)
+                } else {
+                    x >> 1
+                };
+            }
+            c = x ^ (c >> 8);
+        }
+        c ^ 0xffff_ffff
+    }
+
+    /// Every length up to a few chunks, at every start offset mod 8.
+    #[test]
+    fn crc32_short_lengths_match_bytewise_at_every_offset() {
+        let buf: Vec<u8> = (0..80u32).map(|i| (i * 151 + 7) as u8).collect();
+        for off in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[off..off + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "off {off} len {len}");
+            }
+        }
+    }
+
+    #[cfg(not(miri))]
+    mod crc_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Slice-by-8 equals the bytewise reference for lengths
+            /// `0..=4096` at every start offset mod 8.
+            #[test]
+            fn crc32_slice_by_8_matches_bytewise(
+                buf in prop::collection::vec(any::<u8>(), 8..=4104),
+                len in 0usize..=4096,
+            ) {
+                let len = len.min(buf.len() - 8);
+                for off in 0..8 {
+                    let s = &buf[off..off + len];
+                    prop_assert_eq!(crc32(s), crc32_bytewise(s), "off {} len {}", off, len);
+                }
+            }
+
+            /// `update` over arbitrary split points gives the one-shot value.
+            #[test]
+            fn crc32_incremental_splits_match_one_shot(
+                buf in prop::collection::vec(any::<u8>(), 0..=1024),
+                cuts in prop::collection::vec(0usize..=1024, 0..6),
+            ) {
+                let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(buf.len())).collect();
+                cuts.sort_unstable();
+                let mut inc = Crc32::new();
+                let mut at = 0;
+                for c in cuts.into_iter().chain([buf.len()]) {
+                    inc.update(&buf[at..c]);
+                    at = c;
+                }
+                prop_assert_eq!(inc.finish(), crc32(&buf));
+                prop_assert_eq!(inc.finish(), crc32_bytewise(&buf));
+            }
+        }
     }
 
     #[test]

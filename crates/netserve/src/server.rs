@@ -18,7 +18,7 @@
 //!
 //! No thread sleeps between sweeps. A worker sweeps its channels and
 //! connections until a sweep makes no progress, then blocks in `poll(2)`
-//! (the [`ready`](crate::ready) module) on the sockets that can move —
+//! (the private `ready` module) on the sockets that can move —
 //! readable for a connection that would read, writable for one with a
 //! response queued — plus its wake socket, with the earliest connection
 //! deadline as the timeout. Whoever sends on a worker's `new_conns` or

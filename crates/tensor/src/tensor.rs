@@ -197,9 +197,17 @@ impl Tensor {
 
     /// `self^T @ rhs` for shapes the caller has already checked.
     pub(crate) fn matmul_tn_unchecked(&self, rhs: &Tensor) -> Tensor {
-        // `out[i][j] = Σ_k self[k][i] · rhs[k][j]`, `k` in order — the sum the
-        // blocked kernel forms against the transposed `self`.
-        self.transpose().matmul_unchecked(rhs)
+        debug_assert_eq!(self.rows, rhs.rows);
+        let mut out = Tensor::zeros(self.cols, rhs.cols);
+        kernels::matmul_tn_into(
+            &self.data,
+            &rhs.data,
+            &mut out.data,
+            self.cols,
+            self.rows,
+            rhs.cols,
+        );
+        out
     }
 
     /// `self @ rhs^T`.
@@ -348,7 +356,8 @@ mod tests {
         let b = Tensor::rand_uniform(4, 5, -1.0, 1.0, &mut rng);
         let fast = a.matmul_tn(&b).unwrap();
         let slow = a.transpose().matmul(&b).unwrap();
-        assert!(fast.max_abs_diff(&slow) < 1e-6);
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fast), bits(&slow), "same k order, same bits");
     }
 
     #[test]
